@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
+import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -20,7 +21,7 @@ import numpy as np
 from . import __version__
 from .dynamics import Perturbation, SimConfig, run_experiment
 from .moments import PhysParams, moments, moment_printed
-from .numerics import NumericsError, QuadratureSpec
+from .numerics import NumericsError
 from .spectrum import classify
 from .variational import MollifierSpec, petviashvili_solve
 from .waves import (pohozaev_check, sobolev_constant,
@@ -50,7 +51,8 @@ def _parse_range(text: str) -> np.ndarray:
         lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as e:
         raise UsageError(f"bad range {text!r}: {e}") from None
-    if count < 1 or (count == 1 and lo != hi) or hi < lo:
+    if (not (math.isfinite(lo) and math.isfinite(hi)) or count < 1
+            or (count == 1 and lo != hi) or hi < lo):
         raise UsageError(f"bad range {text!r}")
     return np.linspace(lo, hi, count)
 
@@ -104,7 +106,6 @@ def _emit(args, command: str, rows: list[dict], header: list[str],
 
 def cmd_constants(args) -> int:
     p = _params_from(args)
-    spec = QuadratureSpec(rel_tol=args.tol, abs_tol=args.tol * 1e-2)
     closed = moments(p, method="closed_form")
     quad = moments(p, method="quadrature")
     corrected, printed = sobolev_constant_printed_check(p.n, p.s)
@@ -375,6 +376,16 @@ def _add_common(sub, sigma=True):
         sub.add_argument("--sigma", type=float, default=1.0)
 
 
+def _positive_float(text: str) -> float:
+    try:
+        x = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not (math.isfinite(x) and x > 0):
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text}")
+    return x
+
+
 def _global_flags(parser, top_level):
     # accepted both before and after the subcommand; SUPPRESS on the
     # subparser copy so its default cannot clobber a top-level value
@@ -383,9 +394,9 @@ def _global_flags(parser, top_level):
                         default=default("csv"))
     parser.add_argument("--out", type=str, default=default(None))
     parser.add_argument("--jobs", type=int, default=default(1))
-    parser.add_argument("--tol", type=float, default=default(1e-8),
-                        help="relative tolerance for residual gates and "
-                             "quadrature overrides")
+    parser.add_argument("--tol", type=_positive_float, default=default(1e-8),
+                        help="tolerance of the residual gates (pohozaev "
+                             "exits 1 above it); finite and > 0")
 
 
 def build_parser() -> argparse.ArgumentParser:

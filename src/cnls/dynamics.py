@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -78,6 +79,13 @@ class SimConfig:
     def symbol(self):
         xi = np.fft.fftfreq(self.modes, d=self.h)
         return (2.0 * math.pi * np.abs(xi)) ** (2.0 * self.params.s)
+
+    @cached_property
+    def half_phase(self) -> np.ndarray:
+        """Linear half-step propagator exp(-i symbol dt/2), built once per
+        config (cached_property writes the instance __dict__, which a frozen
+        dataclass allows)."""
+        return np.exp(-1j * self.symbol() * self.dt / 2.0)
 
 
 @dataclass
@@ -181,12 +189,8 @@ def init_state(cfg: SimConfig, phi=None) -> SimState:
                     mod_distance=modulated_distance(u, phi, cfg))
 
 
-def step(state: SimState, cfg: SimConfig, _cache={}) -> SimState:
-    key = (id(cfg), cfg.dt)
-    if key not in _cache:
-        _cache.clear()
-        _cache[key] = np.exp(-1j * cfg.symbol() * cfg.dt / 2.0)
-    half_phase = _cache[key]
+def step(state: SimState, cfg: SimConfig) -> SimState:
+    half_phase = cfg.half_phase
     sig = cfg.params.sigma
     u = np.fft.ifft(half_phase * np.fft.fft(state.field))
     j0 = cfg.center_node

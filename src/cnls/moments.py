@@ -21,7 +21,7 @@ class PhysParams:
     """Model parameters (n, s, omega, sigma).
 
     The constraints s > n/2, omega > 0, sigma > 0 are exactly the existence
-    conditions for the solitary wave.
+    conditions for the solitary wave; all four values must be finite.
     """
     n: int
     s: float
@@ -29,6 +29,10 @@ class PhysParams:
     sigma: float
 
     def __post_init__(self):
+        for name in ("n", "s", "omega", "sigma"):
+            if not math.isfinite(getattr(self, name)):
+                raise DomainError(f"{name} must be finite, got "
+                                  f"{getattr(self, name)}")
         if self.n < 1 or int(self.n) != self.n:
             raise DomainError(f"n must be a positive integer, got {self.n}")
         if not self.s > self.n / 2:

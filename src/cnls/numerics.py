@@ -174,8 +174,9 @@ def find_root(f, bracket: Bracket, tol: float = 1e-13,
     """Root of f inside a sign-changing bracket.
 
     Brent-style inverse-quadratic steps guarded by bisection; with
-    bisection_only=True every step is a plain bisection (used to verify the
-    accelerated path is interpolation-independent).
+    bisection_only=True every step is a plain bisection, which needs no
+    scipy import (cheap f, or a check that the accelerated path is
+    interpolation-independent).
     """
     lo, hi = float(bracket.lo), float(bracket.hi)
     flo, fhi = f(lo), f(hi)
@@ -183,19 +184,23 @@ def find_root(f, bracket: Bracket, tol: float = 1e-13,
         return lo
     if fhi == 0.0:
         return hi
-    if flo * fhi > 0:
+    # compare signs, not products: a product of two tiny values underflows
+    # to zero and would steer the bracket the wrong way
+    if (flo < 0) == (fhi < 0):
         raise NoSignChange(f"f({lo})={flo:g} and f({hi})={fhi:g} "
                            "have the same sign")
     if bisection_only:
         while hi - lo > tol:
             mid = 0.5 * (lo + hi)
+            if not lo < mid < hi:  # bracket is down to adjacent floats
+                break
             fm = f(mid)
             if fm == 0.0:
                 return mid
-            if flo * fm < 0:
-                hi, fhi = mid, fm
-            else:
+            if (fm < 0) == (flo < 0):
                 lo, flo = mid, fm
+            else:
+                hi = mid
         return 0.5 * (lo + hi)
 
     from scipy.optimize import brentq

@@ -1,7 +1,8 @@
 """Spectral theory of the linearization: bound states of the delta-well
 operator, the Vakhitov-Kolokolov quantity, stability classification, the
 unstable eigenvalue of the Hamiltonian problem, and a discretized matrix
-oracle.
+oracle.  The production paths are closed forms; the radial quadrature of the
+characteristic function and the discretized matrices are kept as oracles.
 
 The delta-well operator L_mu = (-Delta)^s + omega - mu delta_0 has its point
 spectrum governed by the scalar equation mu * M_1(omega +/- lambda) = 1; the
@@ -81,29 +82,20 @@ def default_grid(params: PhysParams, modes: int = 8192) -> OracleGrid:
 
 
 def bound_state(mu: float, params: PhysParams) -> BoundState:
-    """Lowest eigenvalue of L_mu from the scalar resolvent equation."""
+    """Lowest eigenvalue of L_mu in closed form.
+
+    mu M_1(omega - E) = 1 with M_1(x) = M_1(omega) (x/omega)^{a-1} gives
+    E = omega (1 - (mu/c^2)^{1/(1-a)}) in both regimes.
+    """
     if mu <= 0:
         raise DomainError(f"requires mu > 0, got {mu}")
     c2 = sobolev_constant(params)
-    om = params.omega
-
-    def m1_at(lam_shifted):
-        p = PhysParams(params.n, params.s, lam_shifted, params.sigma)
-        return moment_closed(1.0, p)
-
     if math.isclose(mu, c2, rel_tol=1e-14):
         return BoundState(eigenvalue=0.0, mu=mu, regime="at_c2", eigfn_shift=0.0)
-    if mu > c2:
-        f = lambda lam: mu * m1_at(om + lam) - 1.0
-        hi = om
-        while f(hi) > 0:
-            hi *= 2.0
-        lam = find_root(f, Bracket(0.0, hi), tol=1e-14)
-        return BoundState(eigenvalue=-lam, mu=mu, regime="above_c2",
-                          eigfn_shift=lam)
-    f = lambda lam: mu * m1_at(om - lam) - 1.0
-    lam = find_root(f, Bracket(0.0, om * (1 - 1e-15)), tol=1e-14)
-    return BoundState(eigenvalue=lam, mu=mu, regime="below_c2", eigfn_shift=lam)
+    eig = -params.omega * math.expm1(math.log(mu / c2) / (1.0 - params.a))
+    return BoundState(eigenvalue=eig, mu=mu,
+                      regime="above_c2" if mu > c2 else "below_c2",
+                      eigfn_shift=abs(eig))
 
 
 def vk_quantity(params: PhysParams) -> float:
@@ -119,6 +111,39 @@ def vk_quantity(params: PhysParams) -> float:
 def sigma_critical(params: PhysParams) -> float:
     """Stability threshold sigma* = 2s/n - 1."""
     return 2.0 * params.s / params.n - 1.0
+
+
+def stability_regime(params: PhysParams) -> str:
+    """stable | unstable | degenerate, from sigma against sigma*; within
+    DEGENERACY_TOL of sigma* the cell counts as degenerate.
+
+    Q = C (1-a) [(2-a)/2 - (1 + 1/(2 sigma))(1-a)] changes sign exactly at
+    sigma*, so this is the sign of Q without its round-off near zero.
+    """
+    gap = params.sigma - sigma_critical(params)
+    if abs(gap) <= DEGENERACY_TOL:
+        return "degenerate"
+    return "unstable" if gap > 0 else "stable"
+
+
+def eigen_determinant(lam: float, params: PhysParams) -> float:
+    """D(lambda) = (Re w - 1)((2 sigma + 1) Re w - 1) + (2 sigma + 1)(Im w)^2
+    with w = c^2 M_1(omega - i lambda) = (1 - i lambda/omega)^{a-1}; a
+    positive root is a real unstable eigenvalue of the linearized
+    Hamiltonian problem.  D(0) = 0 (kernel direction).
+
+    Re w - 1 is formed from expm1 and sin^2, without cancellation, so D
+    keeps its sign down to lambda ~ 1e-8 omega, where both of its terms are
+    O(lambda^2) ~ 1e-16.
+    """
+    x = lam / params.omega
+    am1 = params.a - 1.0
+    u = 0.5 * am1 * math.log1p(x * x)
+    v = -am1 * math.atan(x)
+    re_m1 = math.expm1(u) * math.cos(v) - 2.0 * math.sin(0.5 * v) ** 2
+    im = math.exp(u) * math.sin(v)
+    b = 2.0 * params.sigma + 1.0
+    return re_m1 * (b * re_m1 + b - 1.0) + b * im * im
 
 
 def _im_il(lam: float, params: PhysParams):
@@ -138,10 +163,10 @@ def _im_il(lam: float, params: PhysParams):
     return area * im, lam * area * il
 
 
-def eigen_determinant(lam: float, params: PhysParams) -> float:
+def oracle_eigen_determinant(lam: float, params: PhysParams) -> float:
     """D(lambda) = (a I_m - 1)(b I_m - 1) + a b I_lam^2 with a = c^2 and
-    b = (2 sigma + 1) c^2; a positive root is a real unstable eigenvalue of
-    the linearized Hamiltonian problem.  D(0) = 0 (kernel direction)."""
+    b = (2 sigma + 1) c^2, the integrals by radial quadrature.  Independent
+    of the analytic continuation behind eigen_determinant."""
     c2 = sobolev_constant(params)
     a, b = c2, (2 * params.sigma + 1) * c2
     im, il = _im_il(lam, params)
@@ -149,56 +174,36 @@ def eigen_determinant(lam: float, params: PhysParams) -> float:
 
 
 def unstable_eigenvalue(params: PhysParams) -> float | None:
-    """Positive root of D, or None after a sign scan in the stable case."""
-    om = params.omega
-    q = vk_quantity(params)
-    crit = sigma_critical(params)
-    unstable = params.sigma > crit + DEGENERACY_TOL
-    D = lambda lam: eigen_determinant(lam, params)
-    eps = 1e-8 * om
-    if not unstable:
-        grid = np.geomspace(eps, 1e3 * om, 200)
-        vals = np.array([D(l) for l in grid])
-        # below the quadrature noise floor the sign of D is meaningless
-        vals = vals[np.abs(vals) > 1e-10]
-        if any(v1 * v2 < 0 for v1, v2 in zip(vals, vals[1:])):
-            raise RootSearchInconclusive(
-                "sign change found although VK says stable")
+    """Positive root of D, or None unless the regime is unstable."""
+    if stability_regime(params) != "unstable":
         return None
+    om = params.omega
+    D = lambda lam: eigen_determinant(lam, params)
     # D ~ -2 sigma c^2 Q lam^2 < 0 near 0 and -> 1 at infinity
     hi = om
     while D(hi) < 0:
         hi *= 2.0
         if hi > 1e12 * om:
             raise RootSearchInconclusive("no upper bracket for D")
-    return find_root(D, Bracket(eps, hi), tol=1e-12)
+    return find_root(D, Bracket(1e-8 * om, hi), tol=1e-12 * om,
+                     bisection_only=True)
 
 
 def classify(params: PhysParams, want_unstable_lambda: bool = True) -> SpectralReport:
-    """Full spectral report: VK sign, index counts, classification."""
+    """Full spectral report: VK quantity, index counts, classification."""
     c2 = sobolev_constant(params)
-    sig = params.sigma
-    q = vk_quantity(params)
-    crit = sigma_critical(params)
-    mu_plus = (2 * sig + 1) * c2
+    mu_plus = (2 * params.sigma + 1) * c2
     lplus = bound_state(mu_plus, params).eigenvalue
-
-    if abs(sig - crit) < DEGENERACY_TOL:
-        classification, n_d = "degenerate", 0
-        k_r = 0
-        lam_star = None
-    elif q < 0:
-        classification, n_d = "stable", 1
-        k_r = 0
-        lam_star = None
-    else:
-        classification, n_d = "unstable", 0
-        k_r = 1
-        lam_star = unstable_eigenvalue(params) if want_unstable_lambda else None
+    regime = stability_regime(params)
+    lam_star = None
+    if regime == "unstable" and want_unstable_lambda:
+        lam_star = unstable_eigenvalue(params)
     return SpectralReport(params=params, c2=c2, mu_minus=c2, mu_plus=mu_plus,
-                          lplus_negative_eig=lplus, vk_quantity=q,
-                          n_L=1, n_D=n_d, k_r=1 - n_d,
-                          classification=classification,
+                          lplus_negative_eig=lplus,
+                          vk_quantity=vk_quantity(params),
+                          n_L=1, n_D=int(regime == "stable"),
+                          k_r=int(regime == "unstable"),
+                          classification=regime,
                           unstable_lambda=lam_star)
 
 

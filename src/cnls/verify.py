@@ -14,10 +14,10 @@ import numpy as np
 
 from .dynamics import Perturbation, SimConfig, init_state, step
 from .moments import PhysParams, moment_closed, moment_quadrature
-from .spectrum import (DEGENERACY_TOL, classify, eigen_determinant,
-                       lpm_eigenvalues, oracle_unstable_eigenvalue,
-                       secular_eigenvalues, default_grid, sigma_critical,
-                       bound_state, unstable_eigenvalue, vk_quantity)
+from .spectrum import (DEGENERACY_TOL, bound_state, classify,
+                       eigen_determinant, lpm_eigenvalues,
+                       oracle_eigen_determinant, oracle_unstable_eigenvalue,
+                       sigma_critical, unstable_eigenvalue, vk_quantity)
 from .variational import convergence_study
 from .waves import (pohozaev_check, sobolev_constant,
                     sobolev_constant_printed_check)
@@ -107,8 +107,9 @@ def check_vk_fractions() -> CheckResult:
 
 
 def check_stability_boundary() -> CheckResult:
-    """Zero misclassified cells against sigma* = 2s/n - 1 on a 25 x 40
-    (s, sigma) map per dimension, degenerate band excluded."""
+    """Zero misclassified cells against the sign of Q from the Beta-function
+    moments on a 25 x 40 (s, sigma) map per dimension, the degenerate band
+    around sigma* = 2s/n - 1 excluded."""
     bad = 0
     total = 0
     for n in (1, 2, 3):
@@ -121,7 +122,7 @@ def check_stability_boundary() -> CheckResult:
                 if abs(sig - crit) <= DEGENERACY_TOL:
                     continue
                 rep = classify(p, want_unstable_lambda=False)
-                want = "unstable" if sig > crit else "stable"
+                want = "unstable" if vk_quantity(p) > 0 else "stable"
                 total += 1
                 if rep.classification != want:
                     bad += 1
@@ -145,25 +146,33 @@ def check_bound_state_oracle() -> CheckResult:
 
 
 def check_linearized_eigenvalue() -> CheckResult:
-    """Root of the characteristic function D vs the discretized oracle, and
+    """Root of the elementary characteristic function D vs the discretized
+    oracle; the quadrature D vanishes at those roots; and both D routes obey
     the small-lambda limit D/lambda^2 -> -2 sigma c^2 Q."""
     worst_root = 0.0
+    worst_quad = 0.0
     for sig in (1.5, 2.0, 3.0):
         p = PhysParams(n=1, s=1.0, omega=1.0, sigma=sig)
         lam = unstable_eigenvalue(p)
         lam_oracle = oracle_unstable_eigenvalue(p)
         worst_root = max(worst_root, abs(lam - lam_oracle) / lam)
-    worst_lim = 0.0
+        worst_quad = max(worst_quad, abs(oracle_eigen_determinant(lam, p)))
+    lim = {eigen_determinant: 0.0, oracle_eigen_determinant: 0.0}
     for sig in (0.5, 2.0):
         p = PhysParams(n=1, s=1.0, omega=1.0, sigma=sig)
         c2 = sobolev_constant(p)
         target = -2.0 * sig * c2 * vk_quantity(p)
-        got = eigen_determinant(1e-4, p) / 1e-8
-        worst_lim = max(worst_lim, abs(got - target) / abs(target))
-    ok = worst_root < 1e-4 and worst_lim < 1e-3
+        for D in lim:
+            got = D(1e-4, p) / 1e-8
+            lim[D] = max(lim[D], abs(got - target) / abs(target))
+    lim_closed, lim_quad = lim.values()
+    ok = (worst_root < 1e-4 and worst_quad < 1e-10 and lim_closed < 1e-6
+          and lim_quad < 1e-3)
     return _result("linearized-eigenvalue", ok,
                    f"worst root rel err {worst_root:.2e} (tol 1e-4); "
-                   f"small-lambda limit rel err {worst_lim:.2e} (tol 1e-3)")
+                   f"quadrature |D| at roots {worst_quad:.2e} (tol 1e-10); "
+                   f"small-lambda limit rel err {lim_closed:.2e} closed "
+                   f"(tol 1e-6), {lim_quad:.2e} quadrature (tol 1e-3)")
 
 
 def check_variational_convergence() -> CheckResult:

@@ -21,7 +21,8 @@ class TestParsing:
         assert _parse_range("2:2:1").tolist() == [2.0]
 
     def test_bad_ranges(self):
-        for text in ("0:1", "a:1:5", "1:0:5", "0:1:0"):
+        for text in ("0:1", "a:1:5", "1:0:5", "0:1:0", "0:inf:3",
+                     "nan:1:3"):
             with pytest.raises(UsageError):
                 _parse_range(text)
 
@@ -42,6 +43,13 @@ class TestConstants:
         code, _, err = run(["constants", "--n", "1", "--s", "0.4"], capsys)
         assert code == 2
         assert "s > n/2" in err
+
+    @pytest.mark.parametrize("tol", ["0", "nan"])
+    def test_tol_must_be_positive_and_finite(self, capsys, tol):
+        with pytest.raises(SystemExit) as exc:
+            main(["constants", "--tol", tol])
+        assert exc.value.code == 2
+        assert "--tol" in capsys.readouterr().err
 
     def test_json_format(self, capsys):
         code, out, _ = run(["--format", "json", "constants"], capsys)
@@ -83,6 +91,13 @@ class TestSpectrumCmd:
         assert obj["vk_quantity"] == pytest.approx(1.0 / 32.0, rel=1e-10)
 
 
+    @pytest.mark.parametrize("flag", ["--omega", "--s"])
+    def test_non_finite_parameter_exits_2(self, capsys, flag):
+        code, _, err = run(["spectrum", flag, "inf"], capsys)
+        assert code == 2
+        assert "finite" in err
+
+
 class TestStabilityMap:
     def test_boundary_matches_threshold(self, capsys):
         code, out, _ = run(["stability-map", "--n", "1",
@@ -100,6 +115,17 @@ class TestStabilityMap:
             else:
                 want = "unstable" if float(sigma) > crit else "stable"
                 assert cls == want
+
+    def test_degenerate_cells_have_no_real_eigenvalue(self, capsys):
+        # s = 1.8 and 3.6 put sigma* = 2s/3 - 1 at 0.2 and 1.4
+        code, out, _ = run(["stability-map", "--n", "3",
+                            "--s-range", "1.8:3.6:2",
+                            "--sigma-range", "0.2:1.4:2"], capsys)
+        assert code == 0
+        cells = [line.split(",") for line in out.splitlines()[1:]]
+        degenerate = [c for c in cells if c[3] == "degenerate"]
+        assert len(degenerate) == 2
+        assert all(c[4] == "0" for c in degenerate)
 
     def test_requires_valid_s_range(self, capsys):
         code, _, err = run(["stability-map", "--n", "2",

@@ -118,6 +118,25 @@ class TestStep:
         assert err_right < 1e-7
         assert err_right < 1e-2 * err_wrong
 
+    def test_phase_follows_each_config(self):
+        # back-to-back configs with equal dt but different s: each step must
+        # use the half-step phase of its own config, whatever ids are reused
+        for s in (1.0, 0.75):
+            cfg = _cfg(PhysParams(n=1, s=s, omega=1.0, sigma=2.0), modes=256,
+                       perturbation=Perturbation(eps=0.1, shape="noise",
+                                                 seed=3))
+            st = init_state(cfg)
+            u = st.field.copy()
+            half = np.exp(-1j * cfg.symbol() * cfg.dt / 2.0)
+            j0 = cfg.center_node
+            for _ in range(10):
+                st = step(st, cfg)
+                u = np.fft.ifft(half * np.fft.fft(u))
+                u[j0] *= np.exp(1j * abs(u[j0]) ** 4 * cfg.dt / cfg.h)
+                u = np.fft.ifft(half * np.fft.fft(u))
+            assert np.max(np.abs(st.field - u)) < 1e-12
+            del cfg, st
+
     def test_strang_is_second_order(self):
         # energy drift on generic data drops ~4x when dt halves
         def drift(dt):

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -81,6 +83,14 @@ class TestValidation:
             PhysParams(n=1, s=1.0, omega=-1.0, sigma=1.0)
         with pytest.raises(DomainError):
             PhysParams(n=1, s=1.0, omega=1.0, sigma=0.0)
+
+    @pytest.mark.parametrize("field", ["n", "s", "omega", "sigma"])
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_rejected(self, field, bad):
+        kw = dict(n=1, s=1.0, omega=1.0, sigma=1.0)
+        kw[field] = bad
+        with pytest.raises(DomainError, match="finite"):
+            PhysParams(**kw)
 
     def test_moment_needs_j_above_a(self):
         # integral diverges unless j > n/(2s)

@@ -1,15 +1,21 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cnls.moments import PhysParams
-from cnls.numerics import DomainError
+import cnls
+from cnls.moments import PhysParams, moment_closed
+from cnls.numerics import Bracket, DomainError, find_root
 from cnls.spectrum import (BoundState, NotApplicable, OracleGrid, bound_state,
                            check_grid, classify, coercivity_gap, default_grid,
                            discrete_eigen_determinant, eigen_determinant,
                            jl_dense_eigenvalues, lpm_eigenvalues,
+                           oracle_eigen_determinant,
                            oracle_unstable_eigenvalue, secular_eigenvalues,
                            sigma_critical, unstable_eigenvalue, vk_quantity)
 from cnls.waves import sobolev_constant
@@ -82,9 +88,11 @@ class TestVKQuantity:
         assert stable.classification == "stable"
         assert unstable.classification == "unstable"
         assert degenerate.classification == "degenerate"
-        # index bookkeeping: k_r = 1 - n(D), n(L) = 1
+        # index bookkeeping: k_r = 1 - n(D) off the threshold, n(L) = 1;
+        # at sigma = sigma* neither count is 1
         assert stable.k_r == 0 and stable.n_D == 1
         assert unstable.k_r == 1 and unstable.n_D == 0
+        assert degenerate.k_r == 0 and degenerate.n_D == 0
         assert stable.n_L == unstable.n_L == 1
 
 
@@ -96,8 +104,10 @@ class TestLinearizedEigenvalue:
         assert lam == pytest.approx(LAMBDA_STAR[sig], rel=1e-9)
 
     def test_stable_returns_none(self):
-        p = PhysParams(n=1, s=1.0, omega=1.0, sigma=0.5)
-        assert unstable_eigenvalue(p) is None
+        # also at sigma = sigma* (degenerate): no real unstable eigenvalue
+        for sig in (0.5, 1.0):
+            p = PhysParams(n=1, s=1.0, omega=1.0, sigma=sig)
+            assert unstable_eigenvalue(p) is None
 
     def test_small_lambda_limit(self):
         # D(lambda)/lambda^2 -> -2 sigma c^2 Q
@@ -115,6 +125,87 @@ class TestLinearizedEigenvalue:
         rep = classify(PhysParams(1, 1.0, 1.0, 2.0))
         assert rep.unstable_lambda == pytest.approx(4.0 * math.sqrt(3.0),
                                                     rel=1e-8)
+
+
+def _bound_state_by_root(mu, params):
+    """Root-finding route to the lowest L_mu eigenvalue: solve
+    mu M_1(omega - E) = 1 for E with M_1 from the Beta function."""
+    c2 = 1.0 / moment_closed(1.0, params)
+    om = params.omega
+
+    def f(e):
+        shifted = PhysParams(params.n, params.s, om - e, params.sigma)
+        return mu * moment_closed(1.0, shifted) - 1.0
+
+    if mu < c2:
+        return find_root(f, Bracket(0.0, om * (1 - 1e-15)), tol=1e-14)
+    lo = -om
+    while f(lo) > 0:
+        lo *= 2.0
+    return find_root(f, Bracket(lo, 0.0), tol=1e-14)
+
+
+# fixed oracle grid: s/n >= 0.75 keeps the quadrature tails short; sigma
+# 0.4, 1.0, 2.5 falls on both sides of sigma* = 2s/n - 1 at both orders
+ORACLE_GRID = [PhysParams(n, r * n, 1.3, sig) for n in (1, 2, 3)
+               for r in (0.75, 1.5) for sig in (0.4, 1.0, 2.5)]
+
+
+class TestClosedFormOracles:
+    @pytest.mark.parametrize("p", ORACLE_GRID,
+                             ids=lambda p: f"n{p.n}-s{p.s:g}-sig{p.sigma:g}")
+    def test_determinant_matches_quadrature(self, p):
+        for x in (1e-8, 0.5, 5.0, 50.0):
+            lam = x * p.omega
+            assert abs(eigen_determinant(lam, p)
+                       - oracle_eigen_determinant(lam, p)) <= 1e-10
+
+    @pytest.mark.parametrize("p", ORACLE_GRID,
+                             ids=lambda p: f"n{p.n}-s{p.s:g}-sig{p.sigma:g}")
+    def test_small_lambda_sign(self, p):
+        # D ~ -2 sigma c^2 Q lambda^2: at 1e-8 omega both terms of D are
+        # O(1e-16), so a cancelling evaluation returns round-off here
+        d = eigen_determinant(1e-8 * p.omega, p)
+        q = vk_quantity(p)
+        assert (d < 0) == (q > 0) and (d > 0) == (q < 0)
+
+    @pytest.mark.parametrize("n, s", [(1, 1.0), (1, 0.75), (2, 1.7),
+                                      (3, 2.4)])
+    def test_bound_state_matches_root_finder(self, n, s):
+        p = PhysParams(n, s, 1.3, 1.0)
+        c2 = sobolev_constant(p)
+        for ratio in (0.3, 0.9, 1.1, 3.0):
+            b = bound_state(ratio * c2, p)
+            assert b.regime == ("below_c2" if ratio < 1 else "above_c2")
+            assert b.eigfn_shift == abs(b.eigenvalue)
+            assert b.eigenvalue == pytest.approx(
+                _bound_state_by_root(ratio * c2, p), rel=1e-11, abs=1e-13)
+
+    def test_unstable_root_is_a_quadrature_zero(self):
+        p = PhysParams(n=2, s=1.5, omega=1.3, sigma=2.5)
+        lam = unstable_eigenvalue(p)
+        assert abs(oracle_eigen_determinant(lam, p)) < 1e-10
+        assert oracle_eigen_determinant(0.9 * lam, p) < 0
+        assert oracle_eigen_determinant(1.1 * lam, p) > 0
+
+    def test_map_leaves_scipy_optimize_unimported(self):
+        src = str(Path(cnls.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + [e for e in env.get("PYTHONPATH", "").split(os.pathsep)
+                     if e])
+        code = ("import sys\n"
+                "from cnls.cli import main\n"
+                "rc = main(['stability-map', '--s-range', '0.8:1.5:2',\n"
+                "           '--sigma-range', '0.5:3:2', '--with-lambda'])\n"
+                "assert rc == 0\n"
+                "print('scipy.optimize' in sys.modules)\n")
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        *rows, imported = out.stdout.splitlines()
+        unstable = [r.split(",") for r in rows if ",unstable," in r]
+        assert len(unstable) == 2 and all(float(r[-1]) > 0 for r in unstable)
+        assert imported == "False"
 
 
 class TestDiscretizedOracle:
@@ -149,7 +240,6 @@ class TestDiscretizedOracle:
         dense = jl_dense_eigenvalues(p, grid)
         real_pos = sorted(z.real for z in dense
                           if abs(z.imag) < 1e-8 and z.real > 1e-6)
-        from cnls.numerics import Bracket, find_root
         D = lambda lam: discrete_eigen_determinant(lam, p, grid)
         root = find_root(D, Bracket(1e-6, 20.0), tol=1e-12)
         assert real_pos, "dense pencil found no real unstable eigenvalue"
