@@ -1,9 +1,11 @@
 """Command-line surface: every module exposed with reproducible file-based
 outputs.
 
-Exit codes: 0 success, 1 invariant failure, 2 usage error.  CSV bodies use
-17-significant-digit decimals so identical flags produce byte-identical
-files; each --out run writes a manifest.json next to its data.
+Exit codes: 0 success; 2 when an input lies outside the model's or the
+command's range (a DomainError, or a flag argparse rejects); 1 for any other
+failure, numerical or an invariant check.  CSV bodies use 17-significant-digit
+decimals so identical flags produce byte-identical files; each --out run
+writes a manifest.json next to its data.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ import datetime
 import json
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -21,15 +22,11 @@ import numpy as np
 from . import __version__
 from .dynamics import Perturbation, SimConfig, run_experiment
 from .moments import PhysParams, moments, moment_printed
-from .numerics import NumericsError
+from .numerics import DomainError, _map_jobs
 from .spectrum import classify
-from .variational import MollifierSpec, petviashvili_solve
+from .variational import MollifierSpec, default_solve_grid, petviashvili_solve
 from .waves import (pohozaev_check, sobolev_constant,
                     sobolev_constant_printed_check, soliton_profile)
-
-
-class UsageError(Exception):
-    pass
 
 
 def _fmt(x) -> str:
@@ -46,23 +43,20 @@ def _parse_range(text: str) -> np.ndarray:
     """Inclusive range `lo:hi:count`."""
     parts = text.split(":")
     if len(parts) != 3:
-        raise UsageError(f"range must be lo:hi:count, got {text!r}")
+        raise DomainError(f"range must be lo:hi:count, got {text!r}")
     try:
         lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as e:
-        raise UsageError(f"bad range {text!r}: {e}") from None
+        raise DomainError(f"bad range {text!r}: {e}") from None
     if (not (math.isfinite(lo) and math.isfinite(hi)) or count < 1
             or (count == 1 and lo != hi) or hi < lo):
-        raise UsageError(f"bad range {text!r}")
+        raise DomainError(f"bad range {text!r}")
     return np.linspace(lo, hi, count)
 
 
 def _params_from(args) -> PhysParams:
-    try:
-        return PhysParams(n=args.n, s=args.s, omega=args.omega,
-                          sigma=getattr(args, "sigma", 1.0))
-    except NumericsError as e:
-        raise UsageError(str(e)) from None
+    return PhysParams(n=args.n, s=args.s, omega=args.omega,
+                      sigma=getattr(args, "sigma", 1.0))
 
 
 def _write_manifest(out_dir: Path, command: str, parameters: dict,
@@ -210,14 +204,10 @@ def cmd_stability_map(args) -> int:
     s_vals = _parse_range(args.s_range)
     sig_vals = _parse_range(args.sigma_range)
     if np.any(s_vals <= args.n / 2):
-        raise UsageError(f"requires s > n/2 = {args.n / 2:g} across the range")
+        raise DomainError(f"requires s > n/2 = {args.n / 2:g} across the range")
     tasks = [(args.n, float(s), float(sig), args.omega, args.with_lambda)
              for s in s_vals for sig in sig_vals]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(_map_cell, tasks, chunksize=16))
-    else:
-        rows = [_map_cell(t) for t in tasks]
+    rows = _map_jobs(_map_cell, tasks, args.jobs, chunksize=16)
     counts = {}
     for r in rows:
         counts[r["classification"]] = counts.get(r["classification"], 0) + 1
@@ -228,11 +218,10 @@ def cmd_stability_map(args) -> int:
 
 
 def _variational_cell(task):
-    n, s, omega, sigma, scale = task
-    p = PhysParams(n=n, s=s, omega=omega, sigma=sigma)
-    r = petviashvili_solve(p, MollifierSpec(scale=scale))
+    p, spec, grid = task
+    r = petviashvili_solve(p, spec, grid)
     gap = r.m_N - sobolev_constant(p)
-    return {"N": scale, "m_N": r.m_N, "gap": gap,
+    return {"N": spec.scale, "m_N": r.m_N, "gap": gap,
             "iterations": r.iterations, "residual": r.residual}
 
 
@@ -240,14 +229,12 @@ def cmd_variational(args) -> int:
     try:
         scales = [float(t) for t in args.scales.split(",")]
     except ValueError as e:
-        raise UsageError(f"bad --scales: {e}") from None
-    p = _params_from(args)  # validates
-    tasks = [(p.n, p.s, p.omega, p.sigma, sc) for sc in scales]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(_variational_cell, tasks))
-    else:
-        rows = [_variational_cell(t) for t in tasks]
+        raise DomainError(f"bad --scales: {e}") from None
+    p = _params_from(args)
+    # every scale and its grid is checked before the first solve
+    specs = [MollifierSpec(scale=sc) for sc in scales]
+    tasks = [(p, spec, default_solve_grid(p, spec)) for spec in specs]
+    rows = _map_jobs(_variational_cell, tasks, args.jobs)
     gaps = [r["gap"] for r in rows]
     monotone = all(a > b for a, b in zip(gaps, gaps[1:]))
     _emit(args, "variational", rows,
@@ -268,44 +255,41 @@ def _parse_sim_config(path: str) -> dict:
     try:
         text = Path(path).read_text()
     except OSError as e:
-        raise UsageError(f"cannot read config: {e}") from None
+        raise DomainError(f"cannot read config: {e}") from None
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise UsageError(f"{path}:{lineno}: expected `key = value`")
+            raise DomainError(f"{path}:{lineno}: expected `key = value`")
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
         if key not in _SIM_KEYS:
-            raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
+            raise DomainError(f"{path}:{lineno}: unknown key {key!r}")
         try:
             values[key] = _SIM_KEYS[key](val)
         except ValueError:
-            raise UsageError(f"{path}:{lineno}: bad value for {key}") from None
+            raise DomainError(f"{path}:{lineno}: bad value for {key}") from None
     return values
 
 
 def cmd_simulate(args) -> int:
     if not args.out:
-        raise UsageError("simulate requires --out <dir>")
+        raise DomainError("simulate requires --out <dir>")
     cfgv = _parse_sim_config(args.config)
-    try:
-        p = PhysParams(n=cfgv.get("n", 1), s=cfgv.get("s", 1.0),
-                       omega=cfgv.get("omega", 1.0),
-                       sigma=cfgv.get("sigma", 1.0))
-        pert = Perturbation(eps=cfgv.get("eps", 0.0),
-                            shape=cfgv.get("shape", "greens-bump"),
-                            seed=cfgv.get("seed", 0))
-        cfg = SimConfig(params=p,
-                        half_length=cfgv.get("half_length", 40.0),
-                        modes=cfgv.get("modes", 1024),
-                        dt=cfgv.get("dt", 1e-3),
-                        t_final=cfgv.get("t_final", 10.0),
-                        perturbation=pert,
-                        sample_every=cfgv.get("sample_every", 100))
-    except NumericsError as e:
-        raise UsageError(str(e)) from None
+    p = PhysParams(n=cfgv.get("n", 1), s=cfgv.get("s", 1.0),
+                   omega=cfgv.get("omega", 1.0),
+                   sigma=cfgv.get("sigma", 1.0))
+    pert = Perturbation(eps=cfgv.get("eps", 0.0),
+                        shape=cfgv.get("shape", "greens-bump"),
+                        seed=cfgv.get("seed", 0))
+    cfg = SimConfig(params=p,
+                    half_length=cfgv.get("half_length", 40.0),
+                    modes=cfgv.get("modes", 1024),
+                    dt=cfgv.get("dt", 1e-3),
+                    t_final=cfgv.get("t_final", 10.0),
+                    perturbation=pert,
+                    sample_every=cfgv.get("sample_every", 100))
 
     series = run_experiment(cfg)
     out_dir = Path(args.out)
@@ -462,13 +446,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as e:
+    except DomainError as e:  # input outside the model's or command's range
         sys.stderr.write(f"error: {e}\n")
         return 2
-    except NumericsError as e:
-        sys.stderr.write(f"error: {e}\n")
-        return 2
-    except Exception as e:  # invariant / numerical failure
+    except Exception as e:  # any other failure: numerical or invariant
         sys.stderr.write(f"failure: {type(e).__name__}: {e}\n")
         return 1
 

@@ -16,13 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from .moments import PhysParams
-from .numerics import DomainError
-
-
-class BlowUp(Exception):
-    def __init__(self, t):
-        super().__init__(f"field magnitude guard tripped at t={t:g}")
-        self.t = t
+from .numerics import BlowUp, DomainError
 
 
 @dataclass(frozen=True)
@@ -52,10 +46,14 @@ class SimConfig:
     def __post_init__(self):
         if self.params.n != 1:
             raise DomainError("the simulator is 1-D only")
-        if self.modes & (self.modes - 1):
-            raise DomainError("modes must be a power of two")
-        if self.dt <= 0 or self.t_final <= 0 or self.half_length <= 0:
-            raise DomainError("dt, t_final, half_length must be positive")
+        if self.modes < 2 or self.modes & (self.modes - 1):
+            raise DomainError("modes must be a power of two >= 2")
+        if not all(math.isfinite(v) and v > 0
+                   for v in (self.dt, self.t_final, self.half_length)):
+            raise DomainError("dt, t_final, half_length must be finite and "
+                              "positive")
+        if self.sample_every < 1:
+            raise DomainError("sample_every must be >= 1")
         # resonance-stability threshold of the splitting: the fastest mode
         # must rotate by less than pi per step or the point coupling pumps
         # energy into it without bound

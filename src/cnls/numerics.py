@@ -1,5 +1,10 @@
 """Self-contained numerical primitives: half-line quadrature with algebraic
-tails, log-Gamma/Beta, and bracketed root finding.
+tails, log-Gamma/Beta, bracketed root finding, the `--jobs` process map, and
+the package's one exception hierarchy.
+
+Every failure the package raises is a NumericsError.  A DomainError means a
+value from the caller lies outside the model's or the command's range (the
+CLI exits 2); every other failure is numerical (the CLI exits 1).
 
 All routines are pure functions; nothing here holds mutable state.
 """
@@ -7,6 +12,9 @@ All routines are pure functions; nothing here holds mutable state.
 from __future__ import annotations
 
 import math
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,7 +24,23 @@ class NumericsError(Exception):
     pass
 
 
+class DomainError(NumericsError):
+    pass
+
+
+class UnsupportedDimension(DomainError):
+    pass
+
+
+class NotApplicable(DomainError):
+    pass
+
+
 class NonConvergence(NumericsError):
+    pass
+
+
+class NoSignChange(NumericsError):
     pass
 
 
@@ -24,12 +48,18 @@ class BadDecay(NumericsError):
     pass
 
 
-class DomainError(NumericsError):
+class GridTooCoarse(NumericsError):
     pass
 
 
-class NoSignChange(NumericsError):
+class RootSearchInconclusive(NumericsError):
     pass
+
+
+class BlowUp(NumericsError):
+    def __init__(self, t):
+        super().__init__(f"field magnitude guard tripped at t={t:g}")
+        self.t = t
 
 
 @dataclass(frozen=True)
@@ -101,6 +131,23 @@ def _adaptive(f, a, b, rel_tol, abs_tol, max_subdivisions):
     return total, err
 
 
+def _blocks(f, b, rel_tol, abs_tol, max_subdivisions):
+    """Adaptive integral of a vectorized f on [0, b] in the blocks [0, 1],
+    [1, 4], [4, 16], ..., so the relative-tolerance scale of a far block is
+    not set by the near-origin panel.  Returns (value, err_estimate)."""
+    value = 0.0
+    err = 0.0
+    lo = 0.0
+    hi = min(1.0, b)
+    while lo < b:
+        v, e = _adaptive(f, lo, hi, rel_tol, abs_tol, max_subdivisions)
+        value += v
+        err += e
+        lo = hi
+        hi = min(4.0 * hi, b)
+    return value, err
+
+
 def integrate_halfline(f, decay_exponent: float,
                        spec: QuadratureSpec = QuadratureSpec()):
     """Integrate f over (0, inf) given |f(rho)| <= C rho^{-p} at infinity.
@@ -125,9 +172,18 @@ def integrate_halfline(f, decay_exponent: float,
         scale = max(abs(probe), spec.abs_tol)
         for _ in range(280):  # 4^280 stays below float overflow
             samples = np.array([R, 1.5 * R, 2.0 * R])
+            # an integrand that overflows at R samples as 0 there, which
+            # would pass for a tail bound met
+            try:
+                with np.errstate(over="raise"):
+                    f_samples = fv(samples)
+            except FloatingPointError:
+                raise NonConvergence(
+                    f"integrand overflowed at R={R:g} before the tail "
+                    "bound met tolerance") from None
             # R^p can overflow for huge R; work with f(R) * R directly:
             # tail = |f(R)| R^p * R^{1-p}/(p-1) = |f(R)| R / (p-1)
-            c_over = float(np.max(np.abs(fv(samples)) * samples))
+            c_over = float(np.max(np.abs(f_samples) * samples))
             tail = c_over / (p - 1.0)
             if tail <= 0.5 * max(spec.abs_tol, spec.rel_tol * scale):
                 break
@@ -135,20 +191,9 @@ def integrate_halfline(f, decay_exponent: float,
         else:
             raise NonConvergence("tail cutoff search did not terminate")
 
-    # integrate [0, R] in geometrically growing blocks so the adaptive
-    # scale estimate is not dominated by the near-origin panel
-    value = 0.0
-    err = tail
-    lo = 0.0
-    hi = min(1.0, R)
-    while lo < R:
-        v, e = _adaptive(fv, lo, hi, spec.rel_tol, spec.abs_tol,
+    value, err = _blocks(fv, R, spec.rel_tol, spec.abs_tol,
                          spec.max_subdivisions)
-        value += v
-        err += e
-        lo = hi
-        hi = min(4.0 * hi, R)
-    return value, err
+    return value, err + tail
 
 
 def ln_gamma(x: float) -> float:
@@ -205,3 +250,18 @@ def find_root(f, bracket: Bracket, tol: float = 1e-13,
 
     from scipy.optimize import brentq
     return float(brentq(f, lo, hi, xtol=tol, rtol=4 * np.finfo(float).eps))
+
+
+def _map_jobs(fn, items, jobs: int, chunksize: int = 1) -> list:
+    """[fn(x) for x in items], spread over at most min(jobs, cpu count)
+    worker processes; one worker means no pool.  fn must be picklable (a
+    module-level function), and the result order is that of items."""
+    if jobs < 1:
+        raise DomainError(f"--jobs must be >= 1, got {jobs}")
+    workers = min(jobs, os.cpu_count() or 1)
+    if workers == 1:
+        return [fn(x) for x in items]
+    with ProcessPoolExecutor(max_workers=workers,
+                             mp_context=multiprocessing.get_context("spawn")
+                             ) as pool:
+        return list(pool.map(fn, items, chunksize=chunksize))

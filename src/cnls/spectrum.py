@@ -19,23 +19,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .moments import PhysParams, moment_closed, sphere_area
-from .numerics import (Bracket, DomainError, QuadratureSpec, find_root,
+from .numerics import (Bracket, DomainError, GridTooCoarse, NotApplicable,
+                       QuadratureSpec, RootSearchInconclusive, find_root,
                        integrate_halfline)
 from .waves import sobolev_constant
 
 DEGENERACY_TOL = 1e-12
-
-
-class RootSearchInconclusive(Exception):
-    pass
-
-
-class NotApplicable(Exception):
-    pass
-
-
-class GridTooCoarse(Exception):
-    pass
 
 
 @dataclass(frozen=True)
@@ -134,11 +123,16 @@ def eigen_determinant(lam: float, params: PhysParams) -> float:
 
     Re w - 1 is formed from expm1 and sin^2, without cancellation, so D
     keeps its sign down to lambda ~ 1e-8 omega, where both of its terms are
-    O(lambda^2) ~ 1e-16.
+    O(lambda^2) ~ 1e-16.  Past |x| = 1e150, where x^2 nears overflow,
+    log1p(x^2) is taken as 2 log|x| + log1p(x^-2).
     """
     x = lam / params.omega
     am1 = params.a - 1.0
-    u = 0.5 * am1 * math.log1p(x * x)
+    if abs(x) < 1e150:
+        log_mod2 = math.log1p(x * x)
+    else:
+        log_mod2 = 2.0 * math.log(abs(x)) + math.log1p(x ** -2)
+    u = 0.5 * am1 * log_mod2
     v = -am1 * math.atan(x)
     re_m1 = math.expm1(u) * math.cos(v) - 2.0 * math.sin(0.5 * v) ** 2
     im = math.exp(u) * math.sin(v)
@@ -174,7 +168,11 @@ def oracle_eigen_determinant(lam: float, params: PhysParams) -> float:
 
 
 def unstable_eigenvalue(params: PhysParams) -> float | None:
-    """Positive root of D, or None unless the regime is unstable."""
+    """Positive root of D, or None unless the regime is unstable.
+
+    The root grows like (2 sigma + 1)^{1/(1-a)} omega as a -> 1, so the
+    upper bracket doubles for as long as it stays a finite float.
+    """
     if stability_regime(params) != "unstable":
         return None
     om = params.omega
@@ -183,8 +181,10 @@ def unstable_eigenvalue(params: PhysParams) -> float | None:
     hi = om
     while D(hi) < 0:
         hi *= 2.0
-        if hi > 1e12 * om:
-            raise RootSearchInconclusive("no upper bracket for D")
+        if not math.isfinite(hi):
+            raise RootSearchInconclusive(
+                "D stays negative up to the largest float: the unstable "
+                "eigenvalue is beyond it")
     return find_root(D, Bracket(1e-8 * om, hi), tol=1e-12 * om,
                      bisection_only=True)
 

@@ -14,16 +14,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .moments import PhysParams
-from .numerics import DomainError, QuadratureSpec, integrate_halfline
+from .numerics import (DomainError, GridTooCoarse, NonConvergence,
+                       QuadratureSpec, integrate_halfline)
 from .waves import sobolev_constant
 
-
-class NonConvergence(Exception):
-    pass
-
-
-class GridTooCoarse(Exception):
-    pass
+# largest default grid: 2^22 modes, the size of the discretized spectrum
+# oracle; a finer mollifier scale needs an explicit SolveGrid
+MAX_DEFAULT_MODES = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -33,8 +30,9 @@ class MollifierSpec:
     dim: int = 1
 
     def __post_init__(self):
-        if self.scale <= 0:
-            raise DomainError("mollifier scale must be positive")
+        if not (math.isfinite(self.scale) and self.scale > 0):
+            raise DomainError(
+                f"mollifier scale must be finite and > 0, got {self.scale}")
 
 
 def _bump(r):
@@ -87,6 +85,9 @@ def default_solve_grid(params: PhysParams, spec: MollifierSpec) -> SolveGrid:
     L = 40.0 * params.omega ** (-1.0 / (2 * params.s))
     h_target = 1.0 / (16.0 * spec.scale)
     modes = 1 << int(math.ceil(math.log2(2 * L / h_target)))
+    if modes > MAX_DEFAULT_MODES:
+        raise DomainError(f"mollifier scale {spec.scale:g} needs {modes} "
+                          f"modes, above the {MAX_DEFAULT_MODES} ceiling")
     return SolveGrid(half_length=L, modes=modes)
 
 

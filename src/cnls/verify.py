@@ -14,6 +14,7 @@ import numpy as np
 
 from .dynamics import Perturbation, SimConfig, init_state, step
 from .moments import PhysParams, moment_closed, moment_quadrature
+from .numerics import _map_jobs
 from .spectrum import (DEGENERACY_TOL, bound_state, classify,
                        eigen_determinant, lpm_eigenvalues,
                        oracle_eigen_determinant, oracle_unstable_eigenvalue,
@@ -235,10 +236,9 @@ ALL_CHECKS = (
 )
 
 
+def _run(check) -> CheckResult:
+    return check()
+
+
 def run_all(jobs: int = 1) -> list[CheckResult]:
-    if jobs <= 1:
-        return [c() for c in ALL_CHECKS]
-    from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        futures = [pool.submit(c) for c in ALL_CHECKS]
-        return [f.result() for f in futures]
+    return _map_jobs(_run, ALL_CHECKS, jobs)

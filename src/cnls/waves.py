@@ -16,11 +16,8 @@ import numpy as np
 from scipy.special import j0, jn_zeros
 
 from .moments import PhysParams, moment_closed, moment_quadrature, sphere_area
-from .numerics import DomainError, QuadratureSpec, _adaptive, ln_gamma
-
-
-class UnsupportedDimension(DomainError):
-    pass
+from .numerics import (DomainError, UnsupportedDimension, _adaptive, _blocks,
+                       ln_gamma)
 
 
 @dataclass(frozen=True)
@@ -71,19 +68,6 @@ def _averaged_alternating(terms: np.ndarray) -> float:
     while t.size > 1:
         t = 0.5 * (t[:-1] + t[1:])
     return float(t[0])
-
-
-def _blocks(f, a, b, rel_tol=1e-13, abs_tol=1e-16):
-    """Adaptive integral of vectorized f on [a, b], in geometric blocks."""
-    total = 0.0
-    lo = a
-    hi = min(max(1.0, 2 * a), b)
-    while lo < b:
-        v, _ = _adaptive(f, lo, hi, rel_tol, abs_tol, 4000)
-        total += v
-        lo = hi
-        hi = min(4.0 * hi, b)
-    return total
 
 
 def greens_value(r: float, lam: float, params: PhysParams) -> float:
@@ -141,7 +125,7 @@ def greens_value(r: float, lam: float, params: PhysParams) -> float:
     while zero(k0) <= rho_peak:
         k0 += 1
 
-    head = _blocks(f, 0.0, zero(k0))
+    head, _ = _blocks(f, zero(k0), 1e-13, 1e-16, 4000)
 
     n_panels = 48
     terms = np.empty(n_panels)

@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from cnls.cli import _parse_range, build_parser, main, UsageError
+from cnls.cli import _parse_range, build_parser, main
+from cnls.numerics import DomainError
 
 
 def run(argv, capsys):
@@ -23,7 +24,7 @@ class TestParsing:
     def test_bad_ranges(self):
         for text in ("0:1", "a:1:5", "1:0:5", "0:1:0", "0:inf:3",
                      "nan:1:3"):
-            with pytest.raises(UsageError):
+            with pytest.raises(DomainError):
                 _parse_range(text)
 
     def test_parser_builds(self):
@@ -90,6 +91,15 @@ class TestSpectrumCmd:
         assert obj["k_r"] == 1
         assert obj["vk_quantity"] == pytest.approx(1.0 / 32.0, rel=1e-10)
 
+
+    def test_eigenvalue_beyond_1e12_omega(self, capsys):
+        code, out, _ = run(["spectrum", "--n", "3", "--s", "1.51",
+                            "--sigma", "0.99", "--format", "json"], capsys)
+        assert code == 0
+        obj = json.loads(out)
+        # 60-digit bisection on the same D gives 3.97669946927341e71
+        assert obj["unstable_lambda"] == pytest.approx(3.97669946927341e71,
+                                                       rel=1e-10)
 
     @pytest.mark.parametrize("flag", ["--omega", "--s"])
     def test_non_finite_parameter_exits_2(self, capsys, flag):
@@ -180,6 +190,17 @@ class TestSimulate:
                             "--out", str(tmp_path / "o")], capsys)
         assert code == 2
         assert "bogus" in err
+
+    @pytest.mark.parametrize("line", ["dt = nan", "half_length = nan",
+                                      "t_final = inf", "sample_every = 0"])
+    def test_non_finite_or_empty_setting_exits_2(self, capsys, tmp_path,
+                                                 line):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"t_final = 0.01\n{line}\n")
+        code, _, err = run(["simulate", "--config", str(cfg),
+                            "--out", str(tmp_path / "o")], capsys)
+        assert code == 2
+        assert err.startswith("error: ")
 
     def test_requires_out(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"

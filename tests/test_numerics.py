@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cnls import numerics
+from cnls.moments import PhysParams, moment_quadrature
 from cnls.numerics import (BadDecay, Bracket, DomainError, NoSignChange,
-                           QuadratureSpec, beta, find_root,
-                           integrate_halfline, ln_gamma)
+                           NonConvergence, QuadratureSpec, _map_jobs, beta,
+                           find_root, integrate_halfline, ln_gamma)
 
 
 class TestIntegrateHalfline:
@@ -46,6 +48,17 @@ class TestIntegrateHalfline:
         vg, _ = integrate_halfline(g, 4.0)
         vc, _ = integrate_halfline(lambda r: a * f(r) + b * g(r), 4.0)
         assert abs(vc - (a * vf + b * vg)) < 1e-9 * (1 + abs(vc))
+
+    def test_overflowing_integrand_does_not_pass_for_a_small_tail(self):
+        # decay exponent 1.0000002: the true tail bound never meets the
+        # tolerance, but (2 pi R)^{3.0000002} overflows near R ~ 1e102 and
+        # the integrand samples as 0 there
+        f = lambda r: r ** 2 / ((2 * math.pi * r) ** 3.0000002 + 1.0)
+        with pytest.raises(NonConvergence, match="overflow"):
+            integrate_halfline(f, 1.0000002)
+        with pytest.raises(NonConvergence):
+            moment_quadrature(1.0, PhysParams(n=3, s=1.5000001, omega=1.0,
+                                              sigma=1.0))
 
     def test_fixed_cutoff(self):
         spec = QuadratureSpec(tail_cutoff=50.0)
@@ -123,3 +136,53 @@ class TestFindRoot:
         slow = find_root(f, Bracket(-5.0, 5.0), tol=1e-13,
                          bisection_only=True)
         assert abs(fast - slow) < 1e-10
+
+
+def _square(x):
+    return x * x
+
+
+class _FakePool:
+    """Stands in for ProcessPoolExecutor: records max_workers and maps in
+    this process, so no worker is started."""
+    made = []
+
+    def __init__(self, max_workers, mp_context=None):
+        self.made.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items, chunksize=1):
+        return map(fn, items)
+
+
+class TestMapJobs:
+    @pytest.mark.parametrize("jobs", [0, -5])
+    def test_rejects_jobs_below_one(self, jobs):
+        with pytest.raises(DomainError, match="--jobs"):
+            _map_jobs(_square, [1, 2], jobs)
+
+    @pytest.fixture
+    def two_cpus(self, monkeypatch):
+        monkeypatch.setattr(numerics.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(numerics, "ProcessPoolExecutor", _FakePool)
+        _FakePool.made.clear()
+        return _FakePool.made
+
+    def test_workers_capped_at_cpu_count(self, two_cpus):
+        assert _map_jobs(_square, [1, 2, 3], 4) == [1, 4, 9]
+        assert _map_jobs(_square, [3], 10**6) == [9]
+        assert two_cpus == [2, 2]
+
+    def test_one_job_runs_in_process(self, two_cpus):
+        assert _map_jobs(_square, [1, 2, 3], 1) == [1, 4, 9]
+        assert two_cpus == []
+
+    def test_one_cpu_runs_in_process(self, two_cpus, monkeypatch):
+        monkeypatch.setattr(numerics.os, "cpu_count", lambda: None)
+        assert _map_jobs(_square, [1, 2], 4) == [1, 4]
+        assert two_cpus == []

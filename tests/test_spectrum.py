@@ -10,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 import cnls
 from cnls.moments import PhysParams, moment_closed
-from cnls.numerics import Bracket, DomainError, find_root
+from cnls.numerics import (Bracket, DomainError, RootSearchInconclusive,
+                           find_root)
 from cnls.spectrum import (BoundState, NotApplicable, OracleGrid, bound_state,
                            check_grid, classify, coercivity_gap, default_grid,
                            discrete_eigen_determinant, eigen_determinant,
@@ -120,6 +121,27 @@ class TestLinearizedEigenvalue:
     def test_determinant_saturates_to_one(self):
         p = PhysParams(n=1, s=1.0, omega=1.0, sigma=2.0)
         assert eigen_determinant(1e6, p) == pytest.approx(1.0, abs=1e-2)
+
+    def test_root_beyond_1e12_omega(self):
+        # a = n/(2s) -> 1: the root grows like (2 sigma + 1)^{1/(1-a)} omega
+        # (the CLI test pins n=3, s=1.51, sigma=0.99 at 3.98e71)
+        p = PhysParams(n=2, s=1.02, omega=1e4, sigma=3.0)
+        lam = unstable_eigenvalue(p)
+        assert lam > 1e12 * p.omega
+        assert eigen_determinant(0.999 * lam, p) < 0 < \
+            eigen_determinant(1.001 * lam, p)
+
+    def test_large_lambda_branch_is_continuous(self):
+        # log1p(x^2) switches form at x = 1e150
+        p = PhysParams(n=3, s=1.51, omega=1.0, sigma=0.99)
+        below = eigen_determinant(1e150 * (1 - 1e-15), p)
+        above = eigen_determinant(1e150, p)
+        assert above == pytest.approx(below, abs=1e-13)
+
+    def test_root_beyond_the_floats_is_inconclusive(self):
+        with pytest.raises(RootSearchInconclusive):
+            unstable_eigenvalue(PhysParams(n=3, s=1.5001, omega=1.0,
+                                           sigma=0.99))
 
     def test_report_carries_lambda(self):
         rep = classify(PhysParams(1, 1.0, 1.0, 2.0))

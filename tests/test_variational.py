@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from cnls.moments import PhysParams
-from cnls.variational import (GridTooCoarse, MollifierSpec, SolveGrid,
-                              convergence_study, mollifier_value,
+from cnls.numerics import DomainError
+from cnls.variational import (MAX_DEFAULT_MODES, GridTooCoarse, MollifierSpec,
+                              SolveGrid, convergence_study,
+                              default_solve_grid, mollifier_value,
                               petviashvili_solve)
 from cnls.waves import sobolev_constant
 
@@ -17,6 +19,11 @@ class TestMollifier:
             x = np.linspace(-1.5 / scale, 1.5 / scale, 20001)
             v = mollifier_value(x, spec)
             assert np.trapezoid(v, x) == pytest.approx(1.0, rel=1e-6)
+
+    @pytest.mark.parametrize("scale", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_rejects_bad_scale(self, scale):
+        with pytest.raises(DomainError, match="finite"):
+            MollifierSpec(scale=scale)
 
     def test_support(self):
         spec = MollifierSpec(scale=8.0)
@@ -50,6 +57,13 @@ class TestPetviashvili:
                                  initial_guess=guess)
         assert res.iterations <= 50
         assert res.residual < 1e-9
+
+    def test_default_grid_mode_ceiling(self):
+        # the default grid keeps 16 points per mollifier width on [-40, 40]
+        fine = default_solve_grid(CLASSICAL, MollifierSpec(scale=3000.0))
+        assert fine.modes == MAX_DEFAULT_MODES
+        with pytest.raises(DomainError, match="ceiling"):
+            default_solve_grid(CLASSICAL, MollifierSpec(scale=4000.0))
 
     def test_grid_too_coarse(self):
         with pytest.raises(GridTooCoarse):
