@@ -94,6 +94,12 @@ def _emit(args, command: str, rows: list[dict], header: list[str],
         sys.stdout.write(body)
 
 
+def _require_csv(args, command: str) -> None:
+    """Reject --format json for a command that has only its one output."""
+    if args.format != "csv":
+        raise DomainError(f"{command} has no --format {args.format} output")
+
+
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
@@ -274,6 +280,7 @@ def _parse_sim_config(path: str) -> dict:
 
 
 def cmd_simulate(args) -> int:
+    _require_csv(args, "simulate")
     if not args.out:
         raise DomainError("simulate requires --out <dir>")
     cfgv = _parse_sim_config(args.config)
@@ -315,6 +322,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    _require_csv(args, "verify")
     from .verify import run_all
     results = run_all(jobs=args.jobs)
     lines = []

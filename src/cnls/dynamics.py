@@ -18,6 +18,9 @@ import numpy as np
 from .moments import PhysParams
 from .numerics import BlowUp, DomainError
 
+# a field modulus above this ends the run as a blow-up
+BLOWUP_GUARD = 1e8
+
 
 @dataclass(frozen=True)
 class Perturbation:
@@ -41,7 +44,6 @@ class SimConfig:
     t_final: float = 10.0
     perturbation: Perturbation = field(default_factory=Perturbation)
     sample_every: int = 100
-    blowup_guard: float = 1e8
 
     def __post_init__(self):
         if self.params.n != 1:
@@ -74,26 +76,26 @@ class SimConfig:
     def grid_x(self):
         return -self.half_length + self.h * np.arange(self.modes)
 
-    def symbol(self):
+    @cached_property
+    def symbol(self) -> np.ndarray:
+        """Fourier symbol |2 pi xi|^{2s} of (-Delta)^s on the grid, built once
+        per config (cached_property writes the instance __dict__, which a
+        frozen dataclass allows) and read-only, since every caller shares it."""
         xi = np.fft.fftfreq(self.modes, d=self.h)
-        return (2.0 * math.pi * np.abs(xi)) ** (2.0 * self.params.s)
+        sym = (2.0 * math.pi * np.abs(xi)) ** (2.0 * self.params.s)
+        sym.flags.writeable = False
+        return sym
 
     @cached_property
     def half_phase(self) -> np.ndarray:
-        """Linear half-step propagator exp(-i symbol dt/2), built once per
-        config (cached_property writes the instance __dict__, which a frozen
-        dataclass allows)."""
-        return np.exp(-1j * self.symbol() * self.dt / 2.0)
+        """Linear half-step propagator exp(-i symbol dt/2)."""
+        return np.exp(-1j * self.symbol * self.dt / 2.0)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SimState:
     t: float
     field: np.ndarray  # complex, length = modes
-    mass: float
-    energy: float
-    center_modulus: float
-    mod_distance: float
 
 
 @dataclass(frozen=True)
@@ -113,7 +115,7 @@ def discrete_mass(u, cfg: SimConfig) -> float:
 
 def discrete_energy(u, cfg: SimConfig) -> float:
     uh = np.fft.fft(u)
-    kin = 0.5 * cfg.h / cfg.modes * float(np.sum(cfg.symbol() * np.abs(uh) ** 2))
+    kin = 0.5 * cfg.h / cfg.modes * float(np.sum(cfg.symbol * np.abs(uh) ** 2))
     sig = cfg.params.sigma
     pot = abs(u[cfg.center_node]) ** (2 * sig + 2) / (2 * sig + 2)
     return kin - pot
@@ -123,7 +125,7 @@ def _discrete_greens(cfg: SimConfig, lam: float) -> np.ndarray:
     """Grid Green's function (K_h + lam)^{-1} delta_h, delta_h = 1/h at x=0."""
     d = np.zeros(cfg.modes)
     d[cfg.center_node] = 1.0 / cfg.h
-    return np.real(np.fft.ifft(np.fft.fft(d) / (cfg.symbol() + lam)))
+    return np.real(np.fft.ifft(np.fft.fft(d) / (cfg.symbol + lam)))
 
 
 def _wave_on_grid(cfg: SimConfig) -> np.ndarray:
@@ -136,7 +138,7 @@ def _wave_on_grid(cfg: SimConfig) -> np.ndarray:
     refines, and makes the split-step drift a pure splitting error.
     """
     om, sig = cfg.params.omega, cfg.params.sigma
-    s_disc = np.sum(1.0 / (cfg.symbol() + om)) / (2.0 * cfg.half_length)
+    s_disc = np.sum(1.0 / (cfg.symbol + om)) / (2.0 * cfg.half_length)
     amp = s_disc ** (-(2 * sig + 1) / (2 * sig))
     return (amp * _discrete_greens(cfg, om)).astype(complex)
 
@@ -144,7 +146,7 @@ def _wave_on_grid(cfg: SimConfig) -> np.ndarray:
 def _hs_inner(u, v, cfg: SimConfig):
     """Discrete H^s pairing sum (1 + symbol) conj(v_hat) u_hat * h/M."""
     uh, vh = np.fft.fft(u), np.fft.fft(v)
-    w = 1.0 + cfg.symbol()
+    w = 1.0 + cfg.symbol
     return cfg.h / cfg.modes * np.sum(w * np.conj(vh) * uh)
 
 
@@ -180,11 +182,7 @@ def init_state(cfg: SimConfig, phi=None) -> SimState:
             bump = np.fft.ifft(raw_h)
         bump *= pert.eps * _hs_norm(phi, cfg) / _hs_norm(bump, cfg)
         u = u + bump
-    return SimState(t=0.0, field=u,
-                    mass=discrete_mass(u, cfg),
-                    energy=discrete_energy(u, cfg),
-                    center_modulus=abs(u[cfg.center_node]),
-                    mod_distance=modulated_distance(u, phi, cfg))
+    return SimState(0.0, u)
 
 
 def step(state: SimState, cfg: SimConfig) -> SimState:
@@ -194,13 +192,9 @@ def step(state: SimState, cfg: SimConfig) -> SimState:
     j0 = cfg.center_node
     u[j0] *= np.exp(1j * abs(u[j0]) ** (2 * sig) * cfg.dt / cfg.h)
     u = np.fft.ifft(half_phase * np.fft.fft(u))
-    if not np.isfinite(u[j0]) or np.max(np.abs(u)) > cfg.blowup_guard:
+    if not np.isfinite(u[j0]) or np.max(np.abs(u)) > BLOWUP_GUARD:
         raise BlowUp(state.t + cfg.dt)
-    return SimState(t=state.t + cfg.dt, field=u,
-                    mass=discrete_mass(u, cfg),
-                    energy=discrete_energy(u, cfg),
-                    center_modulus=abs(u[j0]),
-                    mod_distance=state.mod_distance)
+    return SimState(state.t + cfg.dt, u)
 
 
 def _fit_growth_rate(times, dists, floor, cap, window=8):
@@ -228,18 +222,14 @@ def _fit_growth_rate(times, dists, floor, cap, window=8):
 def run_experiment(cfg: SimConfig) -> TimeSeries:
     phi = _wave_on_grid(cfg)
     state = init_state(cfg, phi=phi)
-    m0, e0 = state.mass, state.energy
-    d0 = state.mod_distance
     n_steps = int(round(cfg.t_final / cfg.dt))
-    times, mdrift, edrift, cmod, mdist = [], [], [], [], []
+    rows = []  # t, mass, energy, centre modulus, modulated distance
     blow_up = None
 
     def sample(st):
-        times.append(st.t)
-        mdrift.append(abs(st.mass - m0) / m0)
-        edrift.append(abs(st.energy - e0) / max(abs(e0), 1e-300))
-        cmod.append(st.center_modulus)
-        mdist.append(modulated_distance(st.field, phi, cfg))
+        u = st.field
+        rows.append((st.t, discrete_mass(u, cfg), discrete_energy(u, cfg),
+                     abs(u[cfg.center_node]), modulated_distance(u, phi, cfg)))
 
     sample(state)
     try:
@@ -249,21 +239,15 @@ def run_experiment(cfg: SimConfig) -> TimeSeries:
                 sample(state)
     except BlowUp as b:
         blow_up = b.t
-        times.append(b.t)
-        mdrift.append(float("nan"))
-        edrift.append(float("nan"))
-        cmod.append(float("inf"))
-        mdist.append(float("inf"))
+        rows.append((b.t, math.nan, math.nan, math.inf, math.inf))
 
-    times = np.asarray(times)
-    mdist_arr = np.asarray(mdist)
-    phi_norm = _hs_norm(phi, cfg)
+    times, mass, energy, cmod, mdist = np.array(rows).T
+    m0, e0, d0 = mass[0], energy[0], mdist[0]
     rate = None
     if blow_up is None and d0 > 0:
-        rate = _fit_growth_rate(times, mdist_arr,
-                                floor=10.0 * d0, cap=0.05 * phi_norm)
-    return TimeSeries(times=times, mass_drift=np.asarray(mdrift),
-                      energy_drift=np.asarray(edrift),
-                      center_modulus=np.asarray(cmod),
-                      mod_distance=mdist_arr,
+        rate = _fit_growth_rate(times, mdist, floor=10.0 * d0,
+                                cap=0.05 * _hs_norm(phi, cfg))
+    return TimeSeries(times=times, mass_drift=np.abs(mass - m0) / m0,
+                      energy_drift=np.abs(energy - e0) / max(abs(e0), 1e-300),
+                      center_modulus=cmod, mod_distance=mdist,
                       growth_rate=rate, blow_up_time=blow_up)

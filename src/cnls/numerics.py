@@ -67,7 +67,6 @@ class QuadratureSpec:
     rel_tol: float = 1e-12
     abs_tol: float = 1e-14
     max_subdivisions: int = 2000
-    tail_cutoff: float | None = None  # None -> pick cutoff from decay exponent
 
     def __post_init__(self):
         if self.rel_tol <= 0 or self.abs_tol <= 0:
@@ -161,35 +160,29 @@ def integrate_halfline(f, decay_exponent: float,
         raise BadDecay(f"decay exponent must exceed 1, got {p}")
     fv = lambda x: np.asarray(f(np.asarray(x, dtype=float)), dtype=float)
 
-    if spec.tail_cutoff is not None:
-        R = float(spec.tail_cutoff)
-        c_tail = float(np.max(np.abs(fv(np.array([R, 2 * R]))) *
-                              np.array([R, 2 * R]) ** p))
-        tail = c_tail * R ** (1.0 - p) / (p - 1.0)
+    R = 1.0
+    probe, _ = _panel(fv, 0.0, 1.0)
+    scale = max(abs(probe), spec.abs_tol)
+    for _ in range(280):  # 4^280 stays below float overflow
+        samples = np.array([R, 1.5 * R, 2.0 * R])
+        # an integrand that overflows at R samples as 0 there, which would
+        # pass for a tail bound met
+        try:
+            with np.errstate(over="raise"):
+                f_samples = fv(samples)
+        except FloatingPointError:
+            raise NonConvergence(
+                f"integrand overflowed at R={R:g} before the tail "
+                "bound met tolerance") from None
+        # R^p can overflow for huge R; work with f(R) * R directly:
+        # tail = |f(R)| R^p * R^{1-p}/(p-1) = |f(R)| R / (p-1)
+        c_over = float(np.max(np.abs(f_samples) * samples))
+        tail = c_over / (p - 1.0)
+        if tail <= 0.5 * max(spec.abs_tol, spec.rel_tol * scale):
+            break
+        R *= 4.0
     else:
-        R = 1.0
-        probe, _ = _panel(fv, 0.0, 1.0)
-        scale = max(abs(probe), spec.abs_tol)
-        for _ in range(280):  # 4^280 stays below float overflow
-            samples = np.array([R, 1.5 * R, 2.0 * R])
-            # an integrand that overflows at R samples as 0 there, which
-            # would pass for a tail bound met
-            try:
-                with np.errstate(over="raise"):
-                    f_samples = fv(samples)
-            except FloatingPointError:
-                raise NonConvergence(
-                    f"integrand overflowed at R={R:g} before the tail "
-                    "bound met tolerance") from None
-            # R^p can overflow for huge R; work with f(R) * R directly:
-            # tail = |f(R)| R^p * R^{1-p}/(p-1) = |f(R)| R / (p-1)
-            c_over = float(np.max(np.abs(f_samples) * samples))
-            tail = c_over / (p - 1.0)
-            if tail <= 0.5 * max(spec.abs_tol, spec.rel_tol * scale):
-                break
-            R *= 4.0
-        else:
-            raise NonConvergence("tail cutoff search did not terminate")
+        raise NonConvergence("tail cutoff search did not terminate")
 
     value, err = _blocks(fv, R, spec.rel_tol, spec.abs_tol,
                          spec.max_subdivisions)

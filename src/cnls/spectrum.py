@@ -19,9 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .moments import PhysParams, moment_closed, sphere_area
-from .numerics import (Bracket, DomainError, GridTooCoarse, NotApplicable,
-                       QuadratureSpec, RootSearchInconclusive, find_root,
-                       integrate_halfline)
+from .numerics import (Bracket, DomainError, GridTooCoarse, NonConvergence,
+                       NotApplicable, QuadratureSpec, RootSearchInconclusive,
+                       find_root, integrate_halfline)
 from .waves import sobolev_constant
 
 DEGENERACY_TOL = 1e-12
@@ -81,7 +81,13 @@ def bound_state(mu: float, params: PhysParams) -> BoundState:
     c2 = sobolev_constant(params)
     if math.isclose(mu, c2, rel_tol=1e-14):
         return BoundState(eigenvalue=0.0, mu=mu, regime="at_c2", eigfn_shift=0.0)
-    eig = -params.omega * math.expm1(math.log(mu / c2) / (1.0 - params.a))
+    try:
+        eig = -params.omega * math.expm1(math.log(mu / c2) / (1.0 - params.a))
+    except OverflowError:
+        raise NonConvergence(
+            f"bound-state eigenvalue of L_mu (L+ at mu = (2 sigma + 1) c^2) "
+            f"overflows a float: mu/c^2 = {mu / c2:g} raised to 1/(1-a) = "
+            f"{1.0 / (1.0 - params.a):g}") from None
     return BoundState(eigenvalue=eig, mu=mu,
                       regime="above_c2" if mu > c2 else "below_c2",
                       eigfn_shift=abs(eig))

@@ -8,14 +8,14 @@ minimum m_N decreases to the sharp Sobolev constant c^2(omega) as N grows.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .moments import PhysParams
-from .numerics import (DomainError, GridTooCoarse, NonConvergence,
-                       QuadratureSpec, integrate_halfline)
+from .numerics import DomainError, GridTooCoarse, NonConvergence, _adaptive
 from .waves import sobolev_constant
 
 # largest default grid: 2^22 modes, the size of the discretized spectrum
@@ -25,9 +25,8 @@ MAX_DEFAULT_MODES = 1 << 22
 
 @dataclass(frozen=True)
 class MollifierSpec:
-    """Scaled bump N^n V(N x) with V(x) = Z^{-1} exp(-1/(1-|x|^2)) on |x|<1."""
+    """Scaled bump N V(N x) with V(x) = Z^{-1} exp(-1/(1-x^2)) on |x| < 1."""
     scale: float  # the N above
-    dim: int = 1
 
     def __post_init__(self):
         if not (math.isfinite(self.scale) and self.scale > 0):
@@ -43,26 +42,18 @@ def _bump(r):
     return out
 
 
-_BUMP_NORM_CACHE: dict[int, float] = {}
-
-
-def _bump_norm(dim: int) -> float:
-    """Z_n = int_{R^n} exp(-1/(1-|x|^2)) dx over the unit ball."""
-    if dim not in _BUMP_NORM_CACHE:
-        from .moments import sphere_area
-        area = sphere_area(dim) if dim > 1 else 2.0
-        f = lambda rho: np.where(rho < 1.0, _bump(rho) * rho ** (dim - 1), 0.0)
-        spec = QuadratureSpec(rel_tol=1e-14, abs_tol=1e-16, tail_cutoff=1.0)
-        val, _ = integrate_halfline(f, 2.0, spec)
-        _BUMP_NORM_CACHE[dim] = area * val
-    return _BUMP_NORM_CACHE[dim]
+@functools.cache
+def _bump_norm() -> float:
+    """Z = int_{-1}^{1} exp(-1/(1-x^2)) dx, twice the integral over [0, 1]."""
+    val, _ = _adaptive(_bump, 0.0, 1.0, 1e-14, 1e-16, 2000)
+    return 2.0 * val
 
 
 def mollifier_value(x, spec: MollifierSpec):
-    """N^n V(N x), normalized so the full-space integral is 1."""
+    """N V(N x), normalized so the integral over the line is 1."""
     x = np.asarray(x, dtype=float)
     N = spec.scale
-    return N ** spec.dim * _bump(N * x) / _bump_norm(spec.dim)
+    return N * _bump(N * x) / _bump_norm()
 
 
 @dataclass(frozen=True)

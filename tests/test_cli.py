@@ -202,6 +202,16 @@ class TestSimulate:
         assert code == 2
         assert err.startswith("error: ")
 
+    def test_json_format_exits_2_before_any_work(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("sigma = 1\n")
+        out_dir = tmp_path / "out"
+        code, _, err = run(["simulate", "--config", str(cfg),
+                            "--out", str(out_dir), "--format", "json"], capsys)
+        assert code == 2
+        assert err.startswith("error: ")
+        assert not out_dir.exists()
+
     def test_requires_out(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("sigma = 1\n")

@@ -61,6 +61,10 @@ EXIT_CODES = [
       "--jobs", "0"], 2),
     (["stability-map", "--s-range", "1:2:3", "--sigma-range", "0.5:1:2",
       "--jobs", "-5"], 2),
+    # the L+ bound-state eigenvalue overflows a float as a = n/(2s) -> 1
+    (["spectrum", "--n", "3", "--s", "1.5001", "--sigma", "0.99",
+      "--no-lambda"], 1),
+    (["verify", "--format", "json"], 2),
     (["spectrum", "--s", "inf"], 2),
     (["profile", "--n", "4", "--s", "3"], 2),
 ]

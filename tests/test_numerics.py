@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 from cnls import numerics
 from cnls.moments import PhysParams, moment_quadrature
 from cnls.numerics import (BadDecay, Bracket, DomainError, NoSignChange,
-                           NonConvergence, QuadratureSpec, _map_jobs, beta,
-                           find_root, integrate_halfline, ln_gamma)
+                           NonConvergence, _map_jobs, beta, find_root,
+                           integrate_halfline, ln_gamma)
 
 
 class TestIntegrateHalfline:
@@ -59,11 +59,6 @@ class TestIntegrateHalfline:
         with pytest.raises(NonConvergence):
             moment_quadrature(1.0, PhysParams(n=3, s=1.5000001, omega=1.0,
                                               sigma=1.0))
-
-    def test_fixed_cutoff(self):
-        spec = QuadratureSpec(tail_cutoff=50.0)
-        val, err = integrate_halfline(lambda r: np.exp(-r), 10.0, spec)
-        assert abs(val - 1.0) < 1e-10
 
 
 class TestGammaBeta:

@@ -10,8 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 import cnls
 from cnls.moments import PhysParams, moment_closed
-from cnls.numerics import (Bracket, DomainError, RootSearchInconclusive,
-                           find_root)
+from cnls.numerics import (Bracket, DomainError, NonConvergence,
+                           RootSearchInconclusive, find_root)
 from cnls.spectrum import (BoundState, NotApplicable, OracleGrid, bound_state,
                            check_grid, classify, coercivity_gap, default_grid,
                            discrete_eigen_determinant, eigen_determinant,
@@ -50,6 +50,13 @@ class TestBoundStates:
     def test_rejects_nonpositive_mu(self):
         with pytest.raises(DomainError):
             bound_state(0.0, CLASSICAL)
+
+    def test_overflow_names_the_eigenvalue(self):
+        # a = n/(2s) ~ 1 - 7e-5: (mu/c^2)^{1/(1-a)} passes the largest float
+        p = PhysParams(n=3, s=1.5001, omega=1.0, sigma=0.99)
+        mu_plus = (2 * p.sigma + 1) * sobolev_constant(p)
+        with pytest.raises(NonConvergence, match=r"L\+ .* mu/c\^2 = 2\.98"):
+            bound_state(mu_plus, p)
 
     @given(mu=st.floats(0.1, 10.0))
     @settings(max_examples=30, deadline=None)
