@@ -299,16 +299,11 @@ def cmd_simulate(args) -> int:
                     sample_every=cfgv.get("sample_every", 100))
 
     series = run_experiment(cfg)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     header = ["t", "mass_drift", "energy_drift", "center_modulus",
               "mod_distance"]
-    lines = [",".join(header)]
-    for i in range(series.times.size):
-        lines.append(",".join(_fmt(v) for v in (
-            series.times[i], series.mass_drift[i], series.energy_drift[i],
-            series.center_modulus[i], series.mod_distance[i])))
-    (out_dir / "series.csv").write_text("\n".join(lines) + "\n")
+    columns = (series.times, series.mass_drift, series.energy_drift,
+               series.center_modulus, series.mod_distance)
+    rows = [dict(zip(header, values)) for values in zip(*columns)]
     summary = {
         "max_mass_drift": float(np.nanmax(series.mass_drift)),
         "max_mod_distance": float(np.max(series.mod_distance)),
@@ -317,7 +312,7 @@ def cmd_simulate(args) -> int:
         summary["growth_rate"] = series.growth_rate
     if series.blow_up_time is not None:
         summary["blow_up_time"] = series.blow_up_time
-    _write_manifest(out_dir, "simulate", cfgv, ["series.csv"], summary)
+    _emit(args, "simulate", rows, header, cfgv, summary, "series")
     return 0
 
 

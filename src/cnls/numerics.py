@@ -1,6 +1,7 @@
 """Self-contained numerical primitives: half-line quadrature with algebraic
-tails, log-Gamma/Beta, bracketed root finding, the `--jobs` process map, and
-the package's one exception hierarchy.
+tails, log-Gamma/Beta, root finding by bisection of a sign-changing bracket
+(the package's one root finder), the `--jobs` process map, and the package's
+one exception hierarchy.
 
 Every failure the package raises is a NumericsError.  A DomainError means a
 value from the caller lies outside the model's or the command's range (the
@@ -58,7 +59,7 @@ class RootSearchInconclusive(NumericsError):
 
 class BlowUp(NumericsError):
     def __init__(self, t):
-        super().__init__(f"field magnitude guard tripped at t={t:g}")
+        super().__init__(f"non-finite field at t={t:g}")
         self.t = t
 
 
@@ -207,15 +208,9 @@ def beta(a: float, b: float) -> float:
     return math.exp(ln_gamma(lo) + ln_gamma(hi) - ln_gamma(lo + hi))
 
 
-def find_root(f, bracket: Bracket, tol: float = 1e-13,
-              bisection_only: bool = False) -> float:
-    """Root of f inside a sign-changing bracket.
-
-    Brent-style inverse-quadratic steps guarded by bisection; with
-    bisection_only=True every step is a plain bisection, which needs no
-    scipy import (cheap f, or a check that the accelerated path is
-    interpolation-independent).
-    """
+def find_root(f, bracket: Bracket, tol: float = 1e-13) -> float:
+    """Root of f inside a sign-changing bracket, by bisection down to a
+    bracket narrower than tol or to adjacent floats."""
     lo, hi = float(bracket.lo), float(bracket.hi)
     flo, fhi = f(lo), f(hi)
     if flo == 0.0:
@@ -227,22 +222,18 @@ def find_root(f, bracket: Bracket, tol: float = 1e-13,
     if (flo < 0) == (fhi < 0):
         raise NoSignChange(f"f({lo})={flo:g} and f({hi})={fhi:g} "
                            "have the same sign")
-    if bisection_only:
-        while hi - lo > tol:
-            mid = 0.5 * (lo + hi)
-            if not lo < mid < hi:  # bracket is down to adjacent floats
-                break
-            fm = f(mid)
-            if fm == 0.0:
-                return mid
-            if (fm < 0) == (flo < 0):
-                lo, flo = mid, fm
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
-
-    from scipy.optimize import brentq
-    return float(brentq(f, lo, hi, xtol=tol, rtol=4 * np.finfo(float).eps))
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:  # bracket is down to adjacent floats
+            break
+        fm = f(mid)
+        if fm == 0.0:
+            return mid
+        if (fm < 0) == (flo < 0):
+            lo, flo = mid, fm
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def _map_jobs(fn, items, jobs: int, chunksize: int = 1) -> list:

@@ -25,6 +25,8 @@ from .numerics import (Bracket, DomainError, GridTooCoarse, NonConvergence,
 from .waves import sobolev_constant
 
 DEGENERACY_TOL = 1e-12
+# half-width, relative to the claimed root, of the oracle's sign-change bracket
+ORACLE_ROOT_RTOL = 1e-4
 
 
 @dataclass(frozen=True)
@@ -191,8 +193,7 @@ def unstable_eigenvalue(params: PhysParams) -> float | None:
             raise RootSearchInconclusive(
                 "D stays negative up to the largest float: the unstable "
                 "eigenvalue is beyond it")
-    return find_root(D, Bracket(1e-8 * om, hi), tol=1e-12 * om,
-                     bisection_only=True)
+    return find_root(D, Bracket(1e-8 * om, hi), tol=1e-12 * om)
 
 
 def classify(params: PhysParams, want_unstable_lambda: bool = True) -> SpectralReport:
@@ -286,26 +287,35 @@ def discrete_eigen_determinant(lam: float, params: PhysParams,
     return (a * s_m - 1.0) * (b * s_m - 1.0) + a * b * s_l * s_l
 
 
-def oracle_unstable_eigenvalue(params: PhysParams,
+def oracle_unstable_eigenvalue(params: PhysParams, near: float,
                                grid: OracleGrid | None = None) -> float:
-    """Real positive JL eigenvalue of the discretized oracle.
+    """Real positive JL eigenvalue of the discretized oracle, proved to lie
+    within ORACLE_ROOT_RTOL of `near`: the discrete characteristic function
+    D, negative below its positive root and positive above, must change
+    sign across near (1 -/+ ORACLE_ROOT_RTOL).
 
-    Root of the discrete characteristic function; a large mode count is
-    cheap here because no dense algebra is involved.
+    The estimate is the bracket's secant point refined by one false-position
+    step; the secant point alone is off by up to 4e-9 relative, enough to
+    change the third digit of a printed error.  Three evaluations of D, so
+    a large mode count is cheap.
     """
     if grid is None:
         grid = OracleGrid(half_length=30.0 * params.omega ** (-1.0 / (2 * params.s)),
                           modes=1 << 22)
     D = lambda lam: discrete_eigen_determinant(lam, params, grid)
-    eps = 1e-6 * params.omega
-    hi = params.omega
-    while D(hi) < 0:
-        hi *= 2.0
-        if hi > 1e12 * params.omega:
-            raise RootSearchInconclusive("no positive root in discrete D")
-    if D(eps) > 0:
-        raise RootSearchInconclusive("discrete D not negative near 0")
-    return find_root(D, Bracket(eps, hi), tol=1e-11)
+    lo, hi = near * (1.0 - ORACLE_ROOT_RTOL), near * (1.0 + ORACLE_ROOT_RTOL)
+    d_lo, d_hi = D(lo), D(hi)
+    if not d_lo < 0.0 < d_hi:
+        raise RootSearchInconclusive(
+            f"discrete D does not change sign from - to + across "
+            f"[{lo:g}, {hi:g}]: D = {d_lo:g}, {d_hi:g}")
+    mid = lo - d_lo * (hi - lo) / (d_hi - d_lo)
+    d_mid = D(mid)
+    if d_mid < 0.0:
+        lo, d_lo = mid, d_mid
+    else:
+        hi, d_hi = mid, d_mid
+    return lo - d_lo * (hi - lo) / (d_hi - d_lo)
 
 
 def jl_dense_eigenvalues(params: PhysParams, grid: OracleGrid) -> np.ndarray:

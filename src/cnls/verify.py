@@ -16,8 +16,8 @@ from .dynamics import (Perturbation, SimConfig, discrete_energy, discrete_mass,
                        init_state, step)
 from .moments import PhysParams, moment_closed, moment_quadrature
 from .numerics import _map_jobs
-from .spectrum import (DEGENERACY_TOL, bound_state, classify,
-                       eigen_determinant, lpm_eigenvalues,
+from .spectrum import (DEGENERACY_TOL, ORACLE_ROOT_RTOL, bound_state,
+                       classify, eigen_determinant, lpm_eigenvalues,
                        oracle_eigen_determinant, oracle_unstable_eigenvalue,
                        sigma_critical, unstable_eigenvalue, vk_quantity)
 from .variational import convergence_study
@@ -34,6 +34,12 @@ class CheckResult:
 
 def _result(name, passed, detail):
     return CheckResult(name=name, passed=bool(passed), detail=detail)
+
+
+def _sci(x: float) -> str:
+    """A one-digit tolerance the way the details print it: 1e-4."""
+    mant, _, exp = f"{x:.0e}".partition("e")
+    return f"{mant}e{int(exp)}"
 
 
 def check_moment_oracle() -> CheckResult:
@@ -149,14 +155,16 @@ def check_bound_state_oracle() -> CheckResult:
 
 def check_linearized_eigenvalue() -> CheckResult:
     """Root of the elementary characteristic function D vs the discretized
-    oracle; the quadrature D vanishes at those roots; and both D routes obey
-    the small-lambda limit D/lambda^2 -> -2 sigma c^2 Q."""
+    oracle, whose D changes sign across lambda (1 -/+ ORACLE_ROOT_RTOL): a
+    sign-change bracket that holds a discrete root within that tolerance;
+    the quadrature D vanishes at those roots; and both D routes obey the
+    small-lambda limit D/lambda^2 -> -2 sigma c^2 Q."""
     worst_root = 0.0
     worst_quad = 0.0
     for sig in (1.5, 2.0, 3.0):
         p = PhysParams(n=1, s=1.0, omega=1.0, sigma=sig)
         lam = unstable_eigenvalue(p)
-        lam_oracle = oracle_unstable_eigenvalue(p)
+        lam_oracle = oracle_unstable_eigenvalue(p, near=lam)
         worst_root = max(worst_root, abs(lam - lam_oracle) / lam)
         worst_quad = max(worst_quad, abs(oracle_eigen_determinant(lam, p)))
     lim = {eigen_determinant: 0.0, oracle_eigen_determinant: 0.0}
@@ -168,10 +176,11 @@ def check_linearized_eigenvalue() -> CheckResult:
             got = D(1e-4, p) / 1e-8
             lim[D] = max(lim[D], abs(got - target) / abs(target))
     lim_closed, lim_quad = lim.values()
-    ok = (worst_root < 1e-4 and worst_quad < 1e-10 and lim_closed < 1e-6
-          and lim_quad < 1e-3)
+    ok = (worst_root < ORACLE_ROOT_RTOL and worst_quad < 1e-10
+          and lim_closed < 1e-6 and lim_quad < 1e-3)
     return _result("linearized-eigenvalue", ok,
-                   f"worst root rel err {worst_root:.2e} (tol 1e-4); "
+                   f"worst root rel err {worst_root:.2e} "
+                   f"(tol {_sci(ORACLE_ROOT_RTOL)}); "
                    f"quadrature |D| at roots {worst_quad:.2e} (tol 1e-10); "
                    f"small-lambda limit rel err {lim_closed:.2e} closed "
                    f"(tol 1e-6), {lim_quad:.2e} quadrature (tol 1e-3)")

@@ -181,3 +181,14 @@ class TestRunExperiment:
         cfg = _cfg(STABLE, t_final=0.05, sample_every=10)
         ts = run_experiment(cfg)
         assert len(calls) == len(ts.times) == 6
+
+    def test_tall_standing_wave_is_no_blow_up(self):
+        # at sigma = 0.019 the exact discrete wave peaks at 1.27e8; the
+        # splitting is an L2 isometry, so its size alone is not a blow-up
+        cfg = _cfg(PhysParams(n=1, s=1.0, omega=1.0, sigma=0.019),
+                   t_final=0.01, sample_every=1)
+        ts = run_experiment(cfg)
+        assert ts.center_modulus[0] > 1e8
+        assert ts.blow_up_time is None
+        assert ts.times.size == 11
+        assert ts.mass_drift.max() < 1e-10

@@ -113,24 +113,21 @@ class TestFindRoot:
 
     def test_bisection_stops_at_float_resolution(self):
         # a tolerance below the float spacing near the root must not loop
-        r = find_root(lambda x: x - 1e5 - 0.1, Bracket(0.0, 2e5), tol=0.0,
-                      bisection_only=True)
+        r = find_root(lambda x: x - 1e5 - 0.1, Bracket(0.0, 2e5), tol=0.0)
         assert abs(r - (1e5 + 0.1)) <= 2e-11
 
     def test_bisection_sign_test_survives_underflow(self):
         # f(0) = -5e-324: its product with any |f| < 1 underflows to -0.0
         r = find_root(lambda x: math.tanh(x) - 5e-324, Bracket(-5.0, 5.0),
-                      tol=1e-13, bisection_only=True)
+                      tol=1e-13)
         assert abs(r) < 1e-12
 
     @given(c=st.floats(-0.9, 0.9))
     @settings(max_examples=50, deadline=None)
-    def test_brent_matches_bisection(self, c):
-        f = lambda x: math.tanh(x) - c
-        fast = find_root(f, Bracket(-5.0, 5.0), tol=1e-13)
-        slow = find_root(f, Bracket(-5.0, 5.0), tol=1e-13,
-                         bisection_only=True)
-        assert abs(fast - slow) < 1e-10
+    def test_matches_atanh(self, c):
+        r = find_root(lambda x: math.tanh(x) - c, Bracket(-5.0, 5.0),
+                      tol=1e-13)
+        assert abs(r - math.atanh(c)) < 1e-10
 
 
 def _square(x):

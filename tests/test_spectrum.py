@@ -225,9 +225,12 @@ class TestClosedFormOracles:
                      if e])
         code = ("import sys\n"
                 "from cnls.cli import main\n"
+                "from cnls.moments import PhysParams\n"
+                "from cnls.spectrum import lpm_eigenvalues\n"
                 "rc = main(['stability-map', '--s-range', '0.8:1.5:2',\n"
                 "           '--sigma-range', '0.5:3:2', '--with-lambda'])\n"
                 "assert rc == 0\n"
+                "lpm_eigenvalues(PhysParams(1, 1.0, 1.0, 1.0), count=1)\n"
                 "print('scipy.optimize' in sys.modules)\n")
         out = subprocess.run([sys.executable, "-c", code], env=env,
                              capture_output=True, text=True, check=True)
@@ -257,8 +260,14 @@ class TestDiscretizedOracle:
     @pytest.mark.parametrize("sig", [1.5, 2.0, 3.0])
     def test_oracle_root_near_semi_analytic(self, sig):
         p = PhysParams(n=1, s=1.0, omega=1.0, sigma=sig)
-        lam = oracle_unstable_eigenvalue(p)
+        lam = oracle_unstable_eigenvalue(p, LAMBDA_STAR[sig])
         assert lam == pytest.approx(LAMBDA_STAR[sig], rel=1e-4)
+
+    def test_oracle_without_sign_change_is_inconclusive(self):
+        # D > 0 at both ends of a bracket around twice the root
+        p = PhysParams(n=1, s=1.0, omega=1.0, sigma=2.0)
+        with pytest.raises(RootSearchInconclusive, match="sign"):
+            oracle_unstable_eigenvalue(p, 2.0 * LAMBDA_STAR[2.0])
 
     def test_dense_pencil_agrees_with_characteristic_function(self):
         # the rank-one reduction is exact on the grid: the dense L+ L-
