@@ -11,6 +11,7 @@ writes a manifest.json next to its data.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import datetime
 import json
 import math
@@ -73,6 +74,18 @@ def _write_manifest(out_dir: Path, command: str, parameters: dict,
         json.dumps(manifest, indent=2, default=float) + "\n")
 
 
+def _write(args, command: str, fname: str, body: str, parameters: dict,
+           summary: dict) -> None:
+    """Write body to --out/fname (plus manifest) or to stdout."""
+    if args.out:
+        out_dir = Path(args.out)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        (out_dir / fname).write_text(body)
+        _write_manifest(out_dir, command, parameters, [fname], summary)
+    else:
+        sys.stdout.write(body)
+
+
 def _emit(args, command: str, rows: list[dict], header: list[str],
           parameters: dict, summary: dict, basename: str) -> None:
     """Write rows as CSV or JSON to --out (plus manifest) or stdout."""
@@ -85,13 +98,7 @@ def _emit(args, command: str, rows: list[dict], header: list[str],
         lines += [",".join(_fmt(r[h]) for h in header) for r in rows]
         body = "\n".join(lines) + "\n"
         fname = f"{basename}.csv"
-    if args.out:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / fname).write_text(body)
-        _write_manifest(out_dir, command, parameters, [fname], summary)
-    else:
-        sys.stdout.write(body)
+    _write(args, command, fname, body, parameters, summary)
 
 
 def _require_csv(args, command: str) -> None:
@@ -143,17 +150,8 @@ def cmd_profile(args) -> int:
 def cmd_pohozaev(args) -> int:
     p = _params_from(args)
     rep = pohozaev_check(p, use_quadrature=args.quadrature)
-    rows = [
-        {"quantity": "l2_mass", "value": rep.l2_mass},
-        {"quantity": "homog_seminorm_sq", "value": rep.homog_seminorm_sq},
-        {"quantity": "center_pow", "value": rep.center_pow},
-        {"quantity": "residual_mass_identity",
-         "value": rep.residual_mass_identity},
-        {"quantity": "residual_seminorm_identity",
-         "value": rep.residual_seminorm_identity},
-        {"quantity": "residual_energy_identity",
-         "value": rep.residual_energy_identity},
-    ]
+    rows = [{"quantity": k, "value": v}
+            for k, v in dataclasses.asdict(rep).items()]
     worst = max(rep.residual_mass_identity, rep.residual_seminorm_identity,
                 rep.residual_energy_identity)
     summary = {"worst_residual": worst}
@@ -165,35 +163,17 @@ def cmd_pohozaev(args) -> int:
 def cmd_spectrum(args) -> int:
     p = _params_from(args)
     rep = classify(p, want_unstable_lambda=not args.no_lambda)
-    obj = {
-        "params": {"n": p.n, "s": p.s, "omega": p.omega, "sigma": p.sigma},
-        "c2": rep.c2,
-        "mu_minus": rep.mu_minus,
-        "mu_plus": rep.mu_plus,
-        "lplus_negative_eig": rep.lplus_negative_eig,
-        "vk_quantity": rep.vk_quantity,
-        "n_L": rep.n_L,
-        "n_D": rep.n_D,
-        "k_r": rep.k_r,
-        "classification": rep.classification,
-        "unstable_lambda": rep.unstable_lambda,
-    }
+    obj = dataclasses.asdict(rep)
+    summary = {"classification": rep.classification}
     if args.format == "csv":
         rows = [{"field": k, "value": v} for k, v in obj.items()
                 if k != "params"]
         _emit(args, "spectrum", rows, ["field", "value"], vars_of(args),
-              {"classification": rep.classification}, "spectrum")
+              summary, "spectrum")
     else:
-        body = json.dumps(obj, indent=2, default=float) + "\n"
-        if args.out:
-            out_dir = Path(args.out)
-            out_dir.mkdir(parents=True, exist_ok=True)
-            (out_dir / "spectrum.json").write_text(body)
-            _write_manifest(out_dir, "spectrum", vars_of(args),
-                            ["spectrum.json"],
-                            {"classification": rep.classification})
-        else:
-            sys.stdout.write(body)
+        _write(args, "spectrum", "spectrum.json",
+               json.dumps(obj, indent=2, default=float) + "\n",
+               vars_of(args), summary)
     return 0
 
 
@@ -279,24 +259,23 @@ def _parse_sim_config(path: str) -> dict:
     return values
 
 
+def _fields_of(cls, values: dict) -> dict:
+    """The entries of values that name a field of the dataclass cls; the
+    dataclass defaults stand for the fields the config file leaves out."""
+    return {f.name: values[f.name] for f in dataclasses.fields(cls)
+            if f.name in values}
+
+
 def cmd_simulate(args) -> int:
     _require_csv(args, "simulate")
     if not args.out:
         raise DomainError("simulate requires --out <dir>")
     cfgv = _parse_sim_config(args.config)
-    p = PhysParams(n=cfgv.get("n", 1), s=cfgv.get("s", 1.0),
-                   omega=cfgv.get("omega", 1.0),
-                   sigma=cfgv.get("sigma", 1.0))
-    pert = Perturbation(eps=cfgv.get("eps", 0.0),
-                        shape=cfgv.get("shape", "greens-bump"),
-                        seed=cfgv.get("seed", 0))
+    p = PhysParams(**{"n": 1, "s": 1.0, "omega": 1.0, "sigma": 1.0,
+                      **_fields_of(PhysParams, cfgv)})
     cfg = SimConfig(params=p,
-                    half_length=cfgv.get("half_length", 40.0),
-                    modes=cfgv.get("modes", 1024),
-                    dt=cfgv.get("dt", 1e-3),
-                    t_final=cfgv.get("t_final", 10.0),
-                    perturbation=pert,
-                    sample_every=cfgv.get("sample_every", 100))
+                    perturbation=Perturbation(**_fields_of(Perturbation, cfgv)),
+                    **_fields_of(SimConfig, cfgv))
 
     series = run_experiment(cfg)
     header = ["t", "mass_drift", "energy_drift", "center_modulus",

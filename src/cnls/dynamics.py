@@ -70,9 +70,6 @@ class SimConfig:
     def center_node(self) -> int:
         return self.modes // 2
 
-    def grid_x(self):
-        return -self.half_length + self.h * np.arange(self.modes)
-
     @cached_property
     def symbol(self) -> np.ndarray:
         """Fourier symbol |2 pi xi|^{2s} of (-Delta)^s on the grid, built once

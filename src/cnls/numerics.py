@@ -1,7 +1,8 @@
 """Self-contained numerical primitives: half-line quadrature with algebraic
-tails, log-Gamma/Beta, root finding by bisection of a sign-changing bracket
-(the package's one root finder), the `--jobs` process map, and the package's
-one exception hierarchy.
+tails on an adaptive Gauss-Legendre panel rule (the package's one half-line
+integrator), log-Gamma/Beta, root finding by bisection of a sign-changing
+bracket (the package's one root finder), the `--jobs` process map, and the
+package's one exception hierarchy.
 
 Every failure the package raises is a NumericsError.  A DomainError means a
 value from the caller lies outside the model's or the command's range (the
@@ -131,30 +132,15 @@ def _adaptive(f, a, b, rel_tol, abs_tol, max_subdivisions):
     return total, err
 
 
-def _blocks(f, b, rel_tol, abs_tol, max_subdivisions):
-    """Adaptive integral of a vectorized f on [0, b] in the blocks [0, 1],
-    [1, 4], [4, 16], ..., so the relative-tolerance scale of a far block is
-    not set by the near-origin panel.  Returns (value, err_estimate)."""
-    value = 0.0
-    err = 0.0
-    lo = 0.0
-    hi = min(1.0, b)
-    while lo < b:
-        v, e = _adaptive(f, lo, hi, rel_tol, abs_tol, max_subdivisions)
-        value += v
-        err += e
-        lo = hi
-        hi = min(4.0 * hi, b)
-    return value, err
-
-
 def integrate_halfline(f, decay_exponent: float,
                        spec: QuadratureSpec = QuadratureSpec()):
     """Integrate f over (0, inf) given |f(rho)| <= C rho^{-p} at infinity.
 
     Returns (value, err_estimate).  The integral over [R, inf) is bounded by
     C R^{1-p}/(p-1) with C sampled from |f| near the cutoff R; R is grown
-    until that bound is below tolerance.
+    until that bound is below tolerance.  [0, R] is integrated adaptively in
+    the blocks [0, 1], [1, 4], [4, 16], ..., so the relative-tolerance scale
+    of a far block is not set by the near-origin panel.
     """
     p = decay_exponent
     if p <= 1.0:
@@ -185,8 +171,14 @@ def integrate_halfline(f, decay_exponent: float,
     else:
         raise NonConvergence("tail cutoff search did not terminate")
 
-    value, err = _blocks(fv, R, spec.rel_tol, spec.abs_tol,
+    value = err = 0.0
+    lo, hi = 0.0, min(1.0, R)
+    while lo < R:
+        v, e = _adaptive(fv, lo, hi, spec.rel_tol, spec.abs_tol,
                          spec.max_subdivisions)
+        value += v
+        err += e
+        lo, hi = hi, min(4.0 * hi, R)
     return value, err + tail
 
 

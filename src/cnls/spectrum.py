@@ -255,19 +255,6 @@ def secular_eigenvalues(mu: float, params: PhysParams, grid: OracleGrid,
     return np.sort(np.asarray(eigs))[:count]
 
 
-def check_grid(mu: float, params: PhysParams, grid: OracleGrid,
-               rel_tol: float = 0.01) -> None:
-    """Doubling guard: the lowest eigenvalue must move < rel_tol when the
-    mode count doubles at fixed physical domain."""
-    e1 = secular_eigenvalues(mu, params, grid, count=1)[0]
-    e2 = secular_eigenvalues(mu, params,
-                             OracleGrid(grid.half_length, grid.modes * 2),
-                             count=1)[0]
-    if abs(e2 - e1) > rel_tol * max(abs(e1), abs(e2), params.omega * 1e-3):
-        raise GridTooCoarse(
-            f"lowest eigenvalue moved {e1:g} -> {e2:g} under mode doubling")
-
-
 def _discrete_sums(lam: float, params: PhysParams, grid: OracleGrid):
     d = _symbols(params, grid)
     w2 = 1.0 / (2.0 * grid.half_length)

@@ -2,9 +2,11 @@
 profile, the sharp Sobolev embedding constant, and the Pohozaev identity
 checker.
 
-Pointwise profile values are radial inverse Fourier transforms with a
-cosine / J0 / sine kernel (n = 1, 2, 3); every norm identity is evaluated in
-Fourier variables through the moments, so those work in any dimension.
+Pointwise profile values are radial inverse Fourier transforms (n = 1, 2, 3),
+integrated on a ray in the upper half plane where the integrand decays
+without oscillating, plus the residues of the poles the ray passes; every
+norm identity is evaluated in Fourier variables through the moments, so
+those work in any dimension.
 """
 
 from __future__ import annotations
@@ -13,11 +15,19 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import j0, jn_zeros
+from scipy.special import hankel1e
 
-from .moments import PhysParams, moment_closed, moment_quadrature, sphere_area
-from .numerics import (DomainError, UnsupportedDimension, _adaptive, _blocks,
-                       ln_gamma)
+from .moments import PhysParams, moment_closed, moment_quadrature
+from .numerics import DomainError, UnsupportedDimension, ln_gamma
+
+# Green's function quadrature: exp-sinh nodes y = exp((pi/2) sinh t) on
+# |t| <= NODE_T_MAX with step at most NODE_STEP, on a ray at an angle chosen
+# by _ray_angle from these settings.
+NODE_T_MAX = 5.0
+NODE_STEP = 1.0 / 32.0
+RAY_MIN_ANGLE = 0.35
+RAY_ANGLES = 128
+POLE_CLEARANCE = 0.25
 
 
 @dataclass(frozen=True)
@@ -25,7 +35,6 @@ class RadialProfile:
     params: PhysParams
     radii: np.ndarray
     values: np.ndarray
-    kind: str  # "greens" | "soliton"
     center_value: float
 
 
@@ -61,21 +70,32 @@ def _m1(n: int, s: float, lam: float) -> float:
     return moment_closed(1.0, PhysParams(n=n, s=s, omega=lam, sigma=1.0))
 
 
-def _averaged_alternating(terms: np.ndarray) -> float:
-    """Sum an alternating, algebraically decaying series by iterated
-    averaging of its partial sums (Euler-style acceleration)."""
-    t = np.cumsum(terms)
-    while t.size > 1:
-        t = 0.5 * (t[:-1] + t[1:])
-    return float(t[0])
+def _ray_angle(alpha: np.ndarray) -> float:
+    """The largest of RAY_ANGLES angles in [RAY_MIN_ANGLE, pi/2] that keeps
+    POLE_CLEARANCE, or the best clearance any of them reaches, from every
+    pole angle alpha.  The largest such angle, not the one farthest from the
+    poles: |e^{ikr}| = e^{-|k| r sin theta} on the ray, so the integrand
+    decays fastest near pi/2."""
+    theta = np.linspace(RAY_MIN_ANGLE, 0.5 * math.pi, RAY_ANGLES)
+    dist = np.min(np.abs(theta[:, None] - alpha[None, :]), axis=1)
+    return float(np.max(theta[dist >= min(POLE_CLEARANCE, np.max(dist))]))
 
 
 def greens_value(r: float, lam: float, params: PhysParams) -> float:
     """G_s^lam(r): radial inverse Fourier transform of 1/((2pi rho)^{2s}+lam).
 
-    The half-line integral is split at the first kernel zero past the peak
-    of the non-oscillatory factor; beyond that, half-period panels form an
-    alternating series summed with averaging acceleration.
+    With k = 2 pi rho, G = c Re (n = 1, 2) or c Im (n = 3) of
+    I = int_0^inf k^m E(kr) / (k^{2s} + lam) dk, where
+      n = 1: m = 0, E = e^{iz},    c = 1/pi;
+      n = 2: m = 1, E = H0^(1)(z), c = 1/(2 pi);
+      n = 3: m = 1, E = e^{iz},    c = 1/(2 pi^2 r)
+    (at n = 3 the sphere factor cancels one power of k against the sinc).
+    E decays in the upper half plane, so the path turns onto the ray
+    k = kappa y e^{i theta}, kappa = lam^{1/(2s)}, where the integrand
+    decays without oscillating; it is summed on exp-sinh nodes.  Each pole
+    k_j = kappa e^{i alpha_j}, alpha_j = pi (2j+1)/(2s), that the turn
+    sweeps (alpha_j < theta) adds 2 pi i Res_j, with
+    Res_j = -k_j^{m+1} E(k_j r) / (2 s lam).
     """
     n, s = params.n, params.s
     if n not in (1, 2, 3):
@@ -86,54 +106,40 @@ def greens_value(r: float, lam: float, params: PhysParams) -> float:
     if r == 0.0:
         return _m1(n, s, lam)
 
-    two_pi_r = 2.0 * math.pi * r
+    m = 0 if n == 1 else 1
+    if n == 2:
+        # hankel1e(0, z) = H0^(1)(z) e^{-iz} stays finite where e^{iz}
+        # underflows
+        kernel = lambda z: hankel1e(0, z) * np.exp(1j * z)
+    else:
+        kernel = lambda z: np.exp(1j * z)
+    kappa = lam ** (1.0 / (2.0 * s))
+    alpha = math.pi * (2.0 * np.arange(int(s) + 2) + 1.0) / (2.0 * s)
+    theta = _ray_angle(alpha)
 
-    # radial power after the angular integral: rho^0 (cos), rho^1 (J0),
-    # rho^1 (sin/r; the 4 pi rho^2 sphere factor cancels one rho against
-    # the sinc denominator)
-    m_pow = 0 if n == 1 else 1
+    # the poles lie pi/s apart in angle, so the step shrinks at large s
+    h = min(NODE_STEP, 1.0 / (8.0 * s))
+    t = h * np.arange(-math.ceil(NODE_T_MAX / h), math.ceil(NODE_T_MAX / h) + 1)
+    y = np.exp(0.5 * math.pi * np.sinh(t))
+    turn = kappa * np.exp(1j * theta)
+    k = turn * y
+    # far out on the ray k^{2s} can overflow and hankel1e returns NaN past
+    # |z| ~ 1e14; the exact term there is below the float range, so a
+    # non-finite term contributes 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        f = k ** m * kernel(k * r) / (k ** (2.0 * s) + lam)
+    f = np.where(np.isfinite(f), f, 0.0)
+    total = h * turn * np.sum(f * (0.5 * math.pi) * np.cosh(t) * y)
 
-    def g(rho):
-        return rho ** m_pow / ((2.0 * math.pi * rho) ** (2.0 * s) + lam)
+    k_pole = kappa * np.exp(1j * alpha[alpha < theta])
+    total += 2j * math.pi * np.sum(
+        -k_pole ** (m + 1) * kernel(k_pole * r) / (2.0 * s * lam))
 
     if n == 1:
-        kernel = lambda rho: np.cos(two_pi_r * rho)
-        prefactor = 2.0
-        # zeros of cos(2 pi r rho)
-        zero = lambda k: (k + 0.5) * math.pi / two_pi_r
-    elif n == 2:
-        kernel = lambda rho: j0(two_pi_r * rho)
-        prefactor = 2.0 * math.pi
-        _j0z = jn_zeros(0, 256)
-        def zero(k, _j0z=_j0z):
-            if k < _j0z.size:
-                return _j0z[k] / two_pi_r
-            return (_j0z[-1] + (k - _j0z.size + 1) * math.pi) / two_pi_r
-    else:
-        kernel = lambda rho: np.sin(two_pi_r * rho)
-        prefactor = 2.0 / r
-        zero = lambda k: (k + 1) * math.pi / two_pi_r
-
-    f = lambda rho: kernel(rho) * g(rho)
-
-    # peak of the non-oscillatory factor rho^{m_pow} g(rho)
-    if m_pow == 0:
-        rho_peak = 0.0
-    else:
-        rho_peak = (m_pow * lam / (2 * s - m_pow)) ** (1 / (2 * s)) / (2 * math.pi)
-    k0 = 0
-    while zero(k0) <= rho_peak:
-        k0 += 1
-
-    head, _ = _blocks(f, zero(k0), 1e-13, 1e-16, 4000)
-
-    n_panels = 48
-    terms = np.empty(n_panels)
-    for i in range(n_panels):
-        v, _ = _adaptive(f, zero(k0 + i), zero(k0 + i + 1), 1e-13, 1e-17, 64)
-        terms[i] = v
-    tail = _averaged_alternating(terms)
-    return prefactor * (head + tail)
+        return float(total.real) / math.pi
+    if n == 2:
+        return float(total.real) / (2.0 * math.pi)
+    return float(total.imag) / (2.0 * math.pi ** 2 * r)
 
 
 def soliton_profile(radii, params: PhysParams) -> RadialProfile:
@@ -146,7 +152,7 @@ def soliton_profile(radii, params: PhysParams) -> RadialProfile:
     values = np.array([greens_value(r, params.omega, params) for r in radii])
     values /= norm
     return RadialProfile(params=params, radii=radii, values=values,
-                         kind="soliton", center_value=m1 ** (-1.0 / (2.0 * params.sigma)))
+                         center_value=m1 ** (-1.0 / (2.0 * params.sigma)))
 
 
 def pohozaev_check(params: PhysParams, use_quadrature: bool = False) -> PohozaevReport:

@@ -13,7 +13,7 @@ from cnls.moments import PhysParams, moment_closed
 from cnls.numerics import (Bracket, DomainError, NonConvergence,
                            RootSearchInconclusive, find_root)
 from cnls.spectrum import (BoundState, NotApplicable, OracleGrid, bound_state,
-                           check_grid, classify, coercivity_gap, default_grid,
+                           classify, coercivity_gap, default_grid,
                            discrete_eigen_determinant, eigen_determinant,
                            jl_dense_eigenvalues, lpm_eigenvalues,
                            oracle_eigen_determinant,
@@ -251,11 +251,6 @@ class TestDiscretizedOracle:
         # L- has lowest eigenvalue 0 (kernel = wave), L+ has -8 at sigma=1
         assert abs(minus[0]) < 0.05
         assert plus[0] == pytest.approx(-8.0, rel=1e-2)
-
-    def test_grid_doubling_guard(self):
-        check_grid(4.0, CLASSICAL, default_grid(CLASSICAL))
-        with pytest.raises(Exception):
-            check_grid(4.0, CLASSICAL, OracleGrid(half_length=15.0, modes=16))
 
     @pytest.mark.parametrize("sig", [1.5, 2.0, 3.0])
     def test_oracle_root_near_semi_analytic(self, sig):

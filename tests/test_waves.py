@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,31 @@ from cnls.waves import (UnsupportedDimension, greens_value, pohozaev_check,
                         soliton_profile)
 
 CLASSICAL = PhysParams(n=1, s=1.0, omega=1.0, sigma=1.0)
+
+# G at (n, s, lam, r) to 20 digits, by oscillatory quadrature on the real
+# axis, independent of the ray used by greens_value:
+#   import mpmath as mp; mp.mp.dps = 20
+#   def ref(n, s, lam, r):
+#       s, lam, r = mp.mpf(s), mp.mpf(lam), mp.mpf(r)
+#       e = {1: lambda k: mp.cos(k * r), 2: lambda k: k * mp.besselj(0, k * r),
+#            3: lambda k: k * mp.sin(k * r)}[n]
+#       f = lambda k: e(k) / (k ** (2 * s) + lam)
+#       if n == 2:
+#           i = mp.quadosc(f, [0, mp.inf],
+#                          zeros=lambda j: mp.besseljzero(0, int(j)) / r)
+#       else:
+#           i = mp.quadosc(f, [0, mp.inf], omega=r)
+#       return i * {1: 1 / mp.pi, 2: 1 / (2 * mp.pi),
+#                   3: 1 / (2 * mp.pi ** 2 * r)}[n]
+GREENS_REF = {
+    # a pole exactly at angle pi/2
+    (3, 3.0, 0.8, 1.5): 0.018093889747704195206,
+    # a pole 0.05 rad above pi/2
+    (1, 2.9, 0.8, 1.5): 0.23644573331991376951,
+    (2, 2.7, 0.8, 1.5): 0.068379580140154913135,
+    # poles pi/25.5 apart in angle: the node step must shrink with s
+    (3, 25.5, 1.0, 3.0): 0.0058085201632447619989,
+}
 
 
 class TestGreensFunction:
@@ -48,11 +74,28 @@ class TestGreensFunction:
         exact = math.exp(-arg) * math.sin(arg) / (4.0 * math.pi * r * m * m)
         assert abs(greens_value(r, lam, p) - exact) < 1e-10 * abs(exact)
 
+    @pytest.mark.parametrize("n,s,lam,r", sorted(GREENS_REF))
+    def test_mpmath_reference(self, n, s, lam, r):
+        p = PhysParams(n=n, s=s, omega=1.0, sigma=1.0)
+        assert greens_value(r, lam, p) == pytest.approx(
+            GREENS_REF[(n, s, lam, r)], rel=1e-12)
+
+    def test_large_radius(self):
+        # G is 1e-10 of G(0) here; the snippet above at mp.mp.dps = 30
+        p = PhysParams(n=1, s=6.0, omega=1.0, sigma=1.0)
+        assert greens_value(30.0, 1000.0, p) == pytest.approx(
+            2.98452681434033e-10, rel=1e-9)
+
     def test_n3_center_continuity(self):
-        p = PhysParams(n=3, s=1.8, omega=1.0, sigma=1.0)
-        m1 = moment_closed(1.0, PhysParams(3, 1.8, 0.9, 1.0))
-        near = greens_value(1e-6, 0.9, p)
-        assert abs(near - m1) < 1e-3 * m1
+        # at s = 10 far terms on the ray overflow; they must not leave a NaN
+        # or a warning
+        for s, lam in ((1.8, 0.9), (10.0, 1.0)):
+            p = PhysParams(n=3, s=s, omega=1.0, sigma=1.0)
+            m1 = moment_closed(1.0, PhysParams(3, s, lam, 1.0))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                near = greens_value(1e-6, lam, p)
+            assert abs(near - m1) < 1e-3 * m1
 
     def test_unsupported_dimension(self):
         p = PhysParams(n=4, s=3.0, omega=1.0, sigma=1.0)
