@@ -16,6 +16,7 @@ import datetime
 import json
 import math
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -277,7 +278,9 @@ def cmd_simulate(args) -> int:
                     perturbation=Perturbation(**_fields_of(Perturbation, cfgv)),
                     **_fields_of(SimConfig, cfgv))
 
+    start = time.perf_counter()
     series = run_experiment(cfg)
+    seconds = time.perf_counter() - start
     header = ["t", "mass_drift", "energy_drift", "center_modulus",
               "mod_distance"]
     columns = (series.times, series.mass_drift, series.energy_drift,
@@ -286,6 +289,8 @@ def cmd_simulate(args) -> int:
     summary = {
         "max_mass_drift": float(np.nanmax(series.mass_drift)),
         "max_mod_distance": float(np.max(series.mod_distance)),
+        # the last row is at t_final, or at the step that blew up
+        "steps_per_s": round(series.times[-1] / cfg.dt) / seconds,
     }
     if series.growth_rate is not None:
         summary["growth_rate"] = series.growth_rate

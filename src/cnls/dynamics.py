@@ -5,10 +5,19 @@ Strang splitting: half a linear Fourier phase, the exact point-nonlinearity
 rotation at the x=0 node (grid delta of weight 1/h), half a linear phase.
 Both substeps are isometries, so the discrete mass is conserved to round-off.
 The exact discrete standing wave is u(t) = e^{+i omega t} phi.
+
+The state is the spectrum v = fft(u), and the scheme runs on it without an
+FFT.  The rotation changes the one centre node j0 = M/2, whose Fourier vector
+is (-1)^k, so in Fourier space it is the rank-one update
+v += q (e^{i theta} - 1) (-1)^k, with q = <(-1)^k, v>/M = u(j0) and
+theta = |q|^{2 sigma} dt/h.  The diagnostics (mass by Parseval, energy,
+centre modulus, modulated distance) read the spectrum as well; the field is
+an inverse FFT taken only when a caller asks for it.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -66,10 +75,6 @@ class SimConfig:
     def h(self) -> float:
         return 2.0 * self.half_length / self.modes
 
-    @property
-    def center_node(self) -> int:
-        return self.modes // 2
-
     @cached_property
     def symbol(self) -> np.ndarray:
         """Fourier symbol |2 pi xi|^{2s} of (-Delta)^s on the grid, built once
@@ -85,11 +90,25 @@ class SimConfig:
         """Linear half-step propagator exp(-i symbol dt/2)."""
         return np.exp(-1j * self.symbol * self.dt / 2.0)
 
+    @cached_property
+    def centre_sign(self) -> np.ndarray:
+        """(-1)^k: the spectrum of the unit vector at the centre node, and
+        (over M) the row that reads u(j0) off a spectrum.  Complex, so the
+        dot product with a spectrum is one BLAS call."""
+        sign = np.where(np.arange(self.modes) % 2 == 0, 1.0, -1.0) + 0j
+        sign.flags.writeable = False
+        return sign
+
 
 @dataclass(frozen=True)
 class SimState:
     t: float
-    field: np.ndarray  # complex, length = modes
+    spectrum: np.ndarray  # v = fft(u), complex, length = modes
+
+    @cached_property
+    def field(self) -> np.ndarray:
+        """The grid field u = ifft(v), computed once, on first read."""
+        return np.fft.ifft(self.spectrum)
 
 
 @dataclass(frozen=True)
@@ -103,27 +122,39 @@ class TimeSeries:
     blow_up_time: float | None = None
 
 
-def discrete_mass(u, cfg: SimConfig) -> float:
-    return cfg.h * float(np.sum(np.abs(u) ** 2))
+def _power(x: float, p: float) -> float:
+    """x ** p for x >= 0, inf where the float power overflows."""
+    try:
+        return x ** p
+    except OverflowError:
+        return math.inf
 
 
-def discrete_energy(u, cfg: SimConfig) -> float:
-    uh = np.fft.fft(u)
-    kin = 0.5 * cfg.h / cfg.modes * float(np.sum(cfg.symbol * np.abs(uh) ** 2))
+def centre_value(v, cfg: SimConfig) -> complex:
+    """u at the centre node, read off the spectrum: <(-1)^k, v>/M."""
+    return complex(np.dot(cfg.centre_sign, v)) / cfg.modes
+
+
+def discrete_mass(v, cfg: SimConfig) -> float:
+    """h sum |u|^2, by Parseval h/M sum |v|^2."""
+    return cfg.h / cfg.modes * float(np.sum(np.abs(v) ** 2))
+
+
+def discrete_energy(v, cfg: SimConfig) -> float:
+    kin = 0.5 * cfg.h / cfg.modes * float(np.sum(cfg.symbol * np.abs(v) ** 2))
     sig = cfg.params.sigma
-    pot = abs(u[cfg.center_node]) ** (2 * sig + 2) / (2 * sig + 2)
+    pot = _power(abs(centre_value(v, cfg)), 2 * sig + 2) / (2 * sig + 2)
     return kin - pot
 
 
-def _discrete_greens(cfg: SimConfig, lam: float) -> np.ndarray:
-    """Grid Green's function (K_h + lam)^{-1} delta_h, delta_h = 1/h at x=0."""
-    d = np.zeros(cfg.modes)
-    d[cfg.center_node] = 1.0 / cfg.h
-    return np.real(np.fft.ifft(np.fft.fft(d) / (cfg.symbol + lam)))
+def _greens_spectrum(cfg: SimConfig, lam: float) -> np.ndarray:
+    """Spectrum of the grid Green's function (K_h + lam)^{-1} delta_h, where
+    delta_h = 1/h at x=0 has spectrum (-1)^k / h."""
+    return cfg.centre_sign / (cfg.h * (cfg.symbol + lam))
 
 
-def _wave_on_grid(cfg: SimConfig) -> np.ndarray:
-    """Exact standing-wave profile of the *discretized* flow.
+def _wave_spectrum(cfg: SimConfig) -> np.ndarray:
+    """Spectrum of the exact standing-wave profile of the *discretized* flow.
 
     phi_hat is proportional to 1/(mu_k + omega); the amplitude is fixed by the
     self-consistency phi(0)^{2 sigma} amplitude = amplitude itself, giving
@@ -134,64 +165,62 @@ def _wave_on_grid(cfg: SimConfig) -> np.ndarray:
     om, sig = cfg.params.omega, cfg.params.sigma
     s_disc = np.sum(1.0 / (cfg.symbol + om)) / (2.0 * cfg.half_length)
     amp = s_disc ** (-(2 * sig + 1) / (2 * sig))
-    return (amp * _discrete_greens(cfg, om)).astype(complex)
+    return amp * _greens_spectrum(cfg, om)
 
 
-def _hs_inner(u, v, cfg: SimConfig):
-    """Discrete H^s pairing sum (1 + symbol) conj(v_hat) u_hat * h/M."""
-    uh, vh = np.fft.fft(u), np.fft.fft(v)
-    w = 1.0 + cfg.symbol
-    return cfg.h / cfg.modes * np.sum(w * np.conj(vh) * uh)
+def _hs_inner(v, w, cfg: SimConfig):
+    """Discrete H^s pairing of two spectra, sum (1 + symbol) conj(w) v * h/M."""
+    return cfg.h / cfg.modes * np.sum((1.0 + cfg.symbol) * np.conj(w) * v)
 
 
-def _hs_norm(u, cfg: SimConfig) -> float:
-    return math.sqrt(abs(_hs_inner(u, u, cfg)))
+def _hs_norm(v, cfg: SimConfig) -> float:
+    return math.sqrt(abs(_hs_inner(v, v, cfg)))
 
 
-def modulated_distance(u, phi, cfg: SimConfig) -> float:
-    """min over theta of the discrete H^s distance ||u - e^{i theta} phi||.
+def modulated_distance(v, phi, cfg: SimConfig) -> float:
+    """min over theta of the discrete H^s distance ||u - e^{i theta} phi||,
+    from the spectra v of u and phi of the wave.
 
     The optimizer is closed-form: e^{i theta} aligned with <u, phi>_{H^s}.
     """
-    ip = _hs_inner(u, phi, cfg)
-    nu2 = abs(_hs_inner(u, u, cfg))
+    ip = _hs_inner(v, phi, cfg)
+    nu2 = abs(_hs_inner(v, v, cfg))
     np2 = abs(_hs_inner(phi, phi, cfg))
     val = nu2 + np2 - 2.0 * abs(ip)
     return math.sqrt(max(val, 0.0))
 
 
 def init_state(cfg: SimConfig, phi=None) -> SimState:
+    """The wave (spectrum phi, by default the exact discrete wave) plus the
+    configured perturbation, scaled to eps times the wave's H^s norm."""
     if phi is None:
-        phi = _wave_on_grid(cfg)
+        phi = _wave_spectrum(cfg)
     pert = cfg.perturbation
-    u = phi.astype(complex).copy()
+    v = phi.astype(complex)
     if pert.eps > 0:
         if pert.shape == "greens-bump":
-            bump = _discrete_greens(cfg, 2.0 * cfg.params.omega).astype(complex)
+            bump = _greens_spectrum(cfg, 2.0 * cfg.params.omega)
         else:
             rng = np.random.default_rng(pert.seed)
             raw = rng.standard_normal(cfg.modes) + 1j * rng.standard_normal(cfg.modes)
             xi = np.fft.fftfreq(cfg.modes, d=cfg.h)
-            raw_h = np.fft.fft(raw) * np.exp(-(2 * math.pi * xi) ** 2)
-            bump = np.fft.ifft(raw_h)
-        bump *= pert.eps * _hs_norm(phi, cfg) / _hs_norm(bump, cfg)
-        u = u + bump
-    return SimState(0.0, u)
+            bump = np.fft.fft(raw) * np.exp(-(2 * math.pi * xi) ** 2)
+        v = v + bump * (pert.eps * _hs_norm(phi, cfg) / _hs_norm(bump, cfg))
+    return SimState(0.0, v)
 
 
 def step(state: SimState, cfg: SimConfig) -> SimState:
-    half_phase = cfg.half_phase
-    sig = cfg.params.sigma
-    u = np.fft.ifft(half_phase * np.fft.fft(state.field))
-    j0 = cfg.center_node
-    u[j0] *= np.exp(1j * abs(u[j0]) ** (2 * sig) * cfg.dt / cfg.h)
-    u = np.fft.ifft(half_phase * np.fft.fft(u))
+    """One Strang step on the spectrum: half phase, rank-one kick, half phase."""
+    v = cfg.half_phase * state.spectrum
+    q = centre_value(v, cfg)
     # both substeps are isometries (max|u| <= sqrt(mass/h) for all time);
-    # only an overflowing kick phase |u_j0|^{2 sigma} can spoil the field,
-    # and the inverse FFT carries its non-finite value to the centre node
-    if not np.isfinite(u[j0]):
+    # only an overflowing kick phase |u_j0|^{2 sigma} can spoil the field
+    theta = _power(abs(q), 2.0 * cfg.params.sigma) * cfg.dt / cfg.h
+    if not math.isfinite(theta):
         raise BlowUp(state.t + cfg.dt)
-    return SimState(state.t + cfg.dt, u)
+    v += (q * (cmath.exp(1j * theta) - 1.0)) * cfg.centre_sign
+    v *= cfg.half_phase
+    return SimState(state.t + cfg.dt, v)
 
 
 def _fit_growth_rate(times, dists, floor, cap, window=8):
@@ -217,16 +246,16 @@ def _fit_growth_rate(times, dists, floor, cap, window=8):
 
 
 def run_experiment(cfg: SimConfig) -> TimeSeries:
-    phi = _wave_on_grid(cfg)
+    phi = _wave_spectrum(cfg)  # once per run
     state = init_state(cfg, phi=phi)
     n_steps = int(round(cfg.t_final / cfg.dt))
     rows = []  # t, mass, energy, centre modulus, modulated distance
     blow_up = None
 
     def sample(st):
-        u = st.field
-        rows.append((st.t, discrete_mass(u, cfg), discrete_energy(u, cfg),
-                     abs(u[cfg.center_node]), modulated_distance(u, phi, cfg)))
+        v = st.spectrum
+        rows.append((st.t, discrete_mass(v, cfg), discrete_energy(v, cfg),
+                     abs(centre_value(v, cfg)), modulated_distance(v, phi, cfg)))
 
     sample(state)
     try:

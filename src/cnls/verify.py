@@ -208,20 +208,20 @@ def check_dynamics_conservation() -> CheckResult:
     cfg = SimConfig(params=p, half_length=40.0, modes=1024, dt=1e-3,
                     t_final=10.0)
     st = init_state(cfg)
-    m0 = discrete_mass(st.field, cfg)
+    m0 = discrete_mass(st.spectrum, cfg)
     for _ in range(10_000):
         st = step(st, cfg)
-    drift = abs(discrete_mass(st.field, cfg) - m0) / m0
+    drift = abs(discrete_mass(st.spectrum, cfg) - m0) / m0
 
     def energy_drift(dt):
         c = SimConfig(params=p, half_length=40.0, modes=1024, dt=dt,
                       t_final=2.0,
                       perturbation=Perturbation(eps=0.3, shape="noise", seed=7))
         s = init_state(c)
-        e0, mx = discrete_energy(s.field, c), 0.0
+        e0, mx = discrete_energy(s.spectrum, c), 0.0
         for _ in range(int(round(2.0 / dt))):
             s = step(s, c)
-            mx = max(mx, abs(discrete_energy(s.field, c) - e0) / abs(e0))
+            mx = max(mx, abs(discrete_energy(s.spectrum, c) - e0) / abs(e0))
         return mx
 
     d1, d2 = energy_drift(4e-4), energy_drift(2e-4)

@@ -6,9 +6,9 @@ import pytest
 
 import cnls.dynamics
 from cnls.dynamics import (Perturbation, SimConfig, SimState, _hs_norm,
-                           _wave_on_grid, discrete_energy, discrete_mass,
-                           init_state, modulated_distance, run_experiment,
-                           step)
+                           _wave_spectrum, centre_value, discrete_energy,
+                           discrete_mass, init_state, modulated_distance,
+                           run_experiment, step)
 from cnls.moments import PhysParams
 from cnls.numerics import DomainError
 
@@ -57,8 +57,10 @@ class TestDiscreteWave:
         # up to the O(1/xi_max) symbol-tail offset of the grid
         cfg = _cfg(DEGEN, modes=4096, dt=1e-4)
         st = init_state(cfg)
-        assert abs(st.field[cfg.center_node]) == pytest.approx(math.sqrt(2.0),
-                                                               rel=5e-3)
+        assert abs(st.field[cfg.modes // 2]) == pytest.approx(math.sqrt(2.0),
+                                                              rel=5e-3)
+        assert centre_value(st.spectrum, cfg) == pytest.approx(
+            st.field[cfg.modes // 2], rel=1e-12)
 
     def test_mass_energy_near_continuum(self):
         # continuum values: M = 2 and E + (omega/2) M = 1 at sigma = 1;
@@ -66,9 +68,9 @@ class TestDiscreteWave:
         offsets = []
         for modes, dt in ((1024, 1e-3), (2048, 2.5e-4), (4096, 1e-4)):
             cfg = _cfg(DEGEN, modes=modes, dt=dt)
-            u = init_state(cfg).field
-            mass = discrete_mass(u, cfg)
-            comb = discrete_energy(u, cfg) + 0.5 * DEGEN.omega * mass
+            v = init_state(cfg).spectrum
+            mass = discrete_mass(v, cfg)
+            comb = discrete_energy(v, cfg) + 0.5 * DEGEN.omega * mass
             offsets.append(abs(mass - 2.0) + abs(comb - 1.0))
         assert offsets[0] > offsets[1] > offsets[2]
         assert offsets[2] < 0.05
@@ -77,15 +79,15 @@ class TestDiscreteWave:
         cfg = _cfg(STABLE, perturbation=Perturbation(eps=0.01,
                                                      shape="greens-bump"))
         st = init_state(cfg)
-        phi = _wave_on_grid(cfg)
-        assert modulated_distance(st.field, phi, cfg) \
+        phi = _wave_spectrum(cfg)
+        assert modulated_distance(st.spectrum, phi, cfg) \
             <= 0.02 * _hs_norm(phi, cfg)
 
 
 class TestModulatedDistance:
     def test_phase_modded_out(self):
         cfg = _cfg(STABLE)
-        phi = _wave_on_grid(cfg)
+        phi = _wave_spectrum(cfg)
         # exact zero up to sqrt-of-roundoff cancellation in the norm
         for alpha in (0.3, 1.5, -2.0):
             assert modulated_distance(np.exp(1j * alpha) * phi, phi, cfg) \
@@ -93,7 +95,7 @@ class TestModulatedDistance:
 
     def test_tangent_direction_second_order(self):
         cfg = _cfg(STABLE)
-        phi = _wave_on_grid(cfg)
+        phi = _wave_spectrum(cfg)
         nrm = _hs_norm(phi, cfg)
         delta = 1e-3
         d = modulated_distance(phi + delta * 1j * phi, phi, cfg)
@@ -101,7 +103,7 @@ class TestModulatedDistance:
 
     def test_radial_direction_first_order(self):
         cfg = _cfg(STABLE)
-        phi = _wave_on_grid(cfg)
+        phi = _wave_spectrum(cfg)
         delta = 1e-3
         d = modulated_distance((1 + delta) * phi, phi, cfg)
         assert d == pytest.approx(delta * _hs_norm(phi, cfg), rel=1e-6)
@@ -111,18 +113,21 @@ class TestStep:
     def test_mass_conserved_to_roundoff(self):
         cfg = _cfg(STABLE, dt=1e-3)
         st = init_state(cfg)
-        m0 = discrete_mass(st.field, cfg)
+        m0 = discrete_mass(st.spectrum, cfg)
         for _ in range(2000):
             st = step(st, cfg)
-        assert abs(discrete_mass(st.field, cfg) - m0) / m0 < 1e-11
+        assert abs(discrete_mass(st.spectrum, cfg) - m0) / m0 < 1e-11
+        # Parseval: the spectral mass is the grid mass h sum |u|^2
+        assert discrete_mass(st.spectrum, cfg) == pytest.approx(
+            cfg.h * np.sum(np.abs(st.field) ** 2), rel=1e-13)
 
     def test_one_step_is_phase_rotation(self):
         # u(dt) ~ e^{+i omega dt} phi: fixes the sign convention
         cfg = _cfg(DEGEN, modes=512, dt=1e-4)
-        phi = _wave_on_grid(cfg)
+        phi = _wave_spectrum(cfg)
         st = step(init_state(cfg, phi=phi), cfg)
-        ref = np.exp(1j * DEGEN.omega * cfg.dt) * phi
-        wrong = np.exp(-1j * DEGEN.omega * cfg.dt) * phi
+        ref = np.exp(1j * DEGEN.omega * cfg.dt) * np.fft.ifft(phi)
+        wrong = np.exp(-1j * DEGEN.omega * cfg.dt) * np.fft.ifft(phi)
         err_right = np.max(np.abs(st.field - ref))
         err_wrong = np.max(np.abs(st.field - wrong))
         assert err_right < 1e-7
@@ -130,25 +135,35 @@ class TestStep:
 
     def test_phase_follows_each_config(self):
         # back-to-back configs with equal dt but different s: each step must
-        # use the half-step phase of its own config, whatever ids are reused
-        for s in (1.0, 0.75):
+        # use the half-step phase of its own config, whatever ids are reused.
+        # The reference is the Strang loop in grid space, with FFTs: half
+        # phase, rotation of the centre node, half phase.  sigma = 2 is
+        # unstable (rate ~ 6.8), so over 2000 steps (t = 2) round-off of
+        # 1e-16 may grow by up to e^{13.6} ~ 1e6
+        for s, steps, rtol in ((1.0, 10, 1e-12), (0.75, 10, 1e-12),
+                               (1.0, 2000, 1e-10)):
             cfg = _cfg(PhysParams(n=1, s=s, omega=1.0, sigma=2.0), modes=256,
                        perturbation=Perturbation(eps=0.1, shape="noise",
                                                  seed=3))
             st = init_state(cfg)
             u = st.field.copy()
             half = np.exp(-1j * cfg.symbol * cfg.dt / 2.0)
-            j0 = cfg.center_node
-            for _ in range(10):
+            j0 = cfg.modes // 2
+            for _ in range(steps):
                 st = step(st, cfg)
                 u = np.fft.ifft(half * np.fft.fft(u))
                 u[j0] *= np.exp(1j * abs(u[j0]) ** 4 * cfg.dt / cfg.h)
                 u = np.fft.ifft(half * np.fft.fft(u))
-            assert np.max(np.abs(st.field - u)) < 1e-12
+            assert np.max(np.abs(st.field - u)) < rtol * np.max(np.abs(u))
             del cfg, st
 
     def test_state_is_time_and_field(self):
-        assert [f.name for f in dataclasses.fields(SimState)] == ["t", "field"]
+        # the state is the spectrum; the field is derived from it on demand
+        assert [f.name for f in dataclasses.fields(SimState)] == \
+            ["t", "spectrum"]
+        st = SimState(0.0, np.fft.fft(np.arange(8.0) + 0j))
+        assert np.allclose(st.field, np.arange(8.0))
+        assert st.field is st.field
 
 
 class TestRunExperiment:
@@ -173,9 +188,9 @@ class TestRunExperiment:
         calls = []
         energy = cnls.dynamics.discrete_energy
 
-        def counted(u, cfg):
+        def counted(v, cfg):
             calls.append(1)
-            return energy(u, cfg)
+            return energy(v, cfg)
 
         monkeypatch.setattr(cnls.dynamics, "discrete_energy", counted)
         cfg = _cfg(STABLE, t_final=0.05, sample_every=10)
@@ -192,3 +207,15 @@ class TestRunExperiment:
         assert ts.blow_up_time is None
         assert ts.times.size == 11
         assert ts.mass_drift.max() < 1e-10
+
+    def test_overflowing_kick_is_blow_up(self):
+        # at sigma = 1000 the kicked centre value exceeds 1.43, so the kick
+        # phase |u_j0|^{2 sigma} overflows in the first step
+        cfg = _cfg(PhysParams(n=1, s=1.0, omega=1.0, sigma=1000.0),
+                   t_final=0.01,
+                   perturbation=Perturbation(eps=0.5, shape="greens-bump"))
+        ts = run_experiment(cfg)
+        assert ts.blow_up_time == 0.001
+        assert ts.times.size == 2
+        assert ts.center_modulus[-1] == math.inf
+        assert ts.growth_rate is None
