@@ -139,9 +139,9 @@ class TestStep:
         # The reference is the Strang loop in grid space, with FFTs: half
         # phase, rotation of the centre node, half phase.  sigma = 2 is
         # unstable (rate ~ 6.8), so over 2000 steps (t = 2) round-off of
-        # 1e-16 may grow by up to e^{13.6} ~ 1e6
-        for s, steps, rtol in ((1.0, 10, 1e-12), (0.75, 10, 1e-12),
-                               (1.0, 2000, 1e-10)):
+        # 1e-16 may grow by up to e^{13.6} ~ 1e6: that case is held to
+        # 1e-10 max|u|, the 10-step cases to 1e-12 absolute
+        for s, steps in ((1.0, 10), (0.75, 10), (1.0, 2000)):
             cfg = _cfg(PhysParams(n=1, s=s, omega=1.0, sigma=2.0), modes=256,
                        perturbation=Perturbation(eps=0.1, shape="noise",
                                                  seed=3))
@@ -154,7 +154,8 @@ class TestStep:
                 u = np.fft.ifft(half * np.fft.fft(u))
                 u[j0] *= np.exp(1j * abs(u[j0]) ** 4 * cfg.dt / cfg.h)
                 u = np.fft.ifft(half * np.fft.fft(u))
-            assert np.max(np.abs(st.field - u)) < rtol * np.max(np.abs(u))
+            bound = 1e-12 if steps == 10 else 1e-10 * np.max(np.abs(u))
+            assert np.max(np.abs(st.field - u)) < bound
             del cfg, st
 
     def test_state_is_time_and_field(self):
