@@ -269,11 +269,16 @@ def run_experiment(cfg: SimConfig) -> TimeSeries:
 
     times, mass, energy, cmod, mdist = np.array(rows).T
     m0, e0, d0 = mass[0], energy[0], mdist[0]
+    if math.isfinite(e0):
+        energy_drift = np.abs(energy - e0) / max(abs(e0), 1e-300)
+    else:
+        # the potential |q|^{2 sigma + 2} already overflows at t = 0
+        energy_drift = np.full_like(energy, math.nan)
     rate = None
     if blow_up is None and d0 > 0:
         rate = _fit_growth_rate(times, mdist, floor=10.0 * d0,
                                 cap=0.05 * _hs_norm(phi, cfg))
     return TimeSeries(times=times, mass_drift=np.abs(mass - m0) / m0,
-                      energy_drift=np.abs(energy - e0) / max(abs(e0), 1e-300),
+                      energy_drift=energy_drift,
                       center_modulus=cmod, mod_distance=mdist,
                       growth_rate=rate, blow_up_time=blow_up)

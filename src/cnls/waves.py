@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import hankel1e
 
 from .moments import PhysParams, moment_closed, moment_quadrature
 from .numerics import DomainError, UnsupportedDimension, ln_gamma
@@ -108,6 +107,10 @@ def greens_value(r: float, lam: float, params: PhysParams) -> float:
 
     m = 0 if n == 1 else 1
     if n == 2:
+        # imported here, not at module level: scipy.special takes longer to
+        # import than most commands take to run, and only n = 2 needs it
+        from scipy.special import hankel1e
+
         # hankel1e(0, z) = H0^(1)(z) e^{-iz} stays finite where e^{iz}
         # underflows
         kernel = lambda z: hankel1e(0, z) * np.exp(1j * z)

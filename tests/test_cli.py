@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cnls
 from cnls.cli import _parse_range, build_parser, main
 from cnls.numerics import DomainError
 
@@ -230,3 +235,46 @@ class TestSimulate:
         run(["simulate", "--config", str(cfg), "--out", str(d2)], capsys)
         assert (d1 / "series.csv").read_text() == \
                (d2 / "series.csv").read_text()
+
+
+class TestImports:
+    def test_commands_leave_scipy_unimported(self, tmp_path):
+        # scipy.special costs more to import than most commands take to
+        # run, so only the n = 2 Green's function may load it
+        src = str(Path(cnls.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + [e for e in env.get("PYTHONPATH", "").split(os.pathsep)
+                     if e])
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("sigma = 2\nmodes = 256\nt_final = 0.01\n")
+        code = ("import sys\n"
+                "from cnls.cli import main\n"
+                "from cnls.moments import PhysParams\n"
+                "from cnls.spectrum import lpm_eigenvalues\n"
+                "def scipy():\n"
+                "    return sorted(m for m in sys.modules\n"
+                "                  if m.split('.')[0] == 'scipy')\n"
+                "runs = [['stability-map', '--s-range', '0.8:1.5:2',\n"
+                "         '--sigma-range', '0.5:3:2', '--with-lambda'],\n"
+                f"        ['simulate', '--config', {str(cfg)!r},\n"
+                f"         '--out', {str(tmp_path / 'out')!r}],\n"
+                "        ['spectrum', '--sigma', '2'],\n"
+                "        ['constants'], ['pohozaev'],\n"
+                "        ['profile', '--n', '1', '--r-range', '0:2:3'],\n"
+                "        ['profile', '--n', '3', '--s', '2',\n"
+                "         '--r-range', '0:2:3']]\n"
+                "for argv in runs:\n"
+                "    assert main(argv) == 0, argv\n"
+                "lpm_eigenvalues(PhysParams(1, 1.0, 1.0, 1.0), count=1)\n"
+                "print('loaded', scipy())\n"
+                "assert main(['profile', '--n', '2', '--s', '2',\n"
+                "             '--r-range', '0:2:3']) == 0\n"
+                "print('loaded', 'scipy.special' in scipy())\n")
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        lines = out.stdout.splitlines()
+        unstable = [r.split(",") for r in lines if ",unstable," in r]
+        assert len(unstable) == 2 and all(float(r[-1]) > 0 for r in unstable)
+        assert [r for r in lines if r.startswith("loaded ")] == [
+            "loaded []", "loaded True"]

@@ -1,14 +1,9 @@
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import cnls
 from cnls.moments import PhysParams, moment_closed
 from cnls.numerics import (Bracket, DomainError, NonConvergence,
                            RootSearchInconclusive, find_root)
@@ -216,28 +211,6 @@ class TestClosedFormOracles:
         assert abs(oracle_eigen_determinant(lam, p)) < 1e-10
         assert oracle_eigen_determinant(0.9 * lam, p) < 0
         assert oracle_eigen_determinant(1.1 * lam, p) > 0
-
-    def test_map_leaves_scipy_optimize_unimported(self):
-        src = str(Path(cnls.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [src] + [e for e in env.get("PYTHONPATH", "").split(os.pathsep)
-                     if e])
-        code = ("import sys\n"
-                "from cnls.cli import main\n"
-                "from cnls.moments import PhysParams\n"
-                "from cnls.spectrum import lpm_eigenvalues\n"
-                "rc = main(['stability-map', '--s-range', '0.8:1.5:2',\n"
-                "           '--sigma-range', '0.5:3:2', '--with-lambda'])\n"
-                "assert rc == 0\n"
-                "lpm_eigenvalues(PhysParams(1, 1.0, 1.0, 1.0), count=1)\n"
-                "print('scipy.optimize' in sys.modules)\n")
-        out = subprocess.run([sys.executable, "-c", code], env=env,
-                             capture_output=True, text=True, check=True)
-        *rows, imported = out.stdout.splitlines()
-        unstable = [r.split(",") for r in rows if ",unstable," in r]
-        assert len(unstable) == 2 and all(float(r[-1]) > 0 for r in unstable)
-        assert imported == "False"
 
 
 class TestDiscretizedOracle:
