@@ -23,10 +23,11 @@ import numpy as np
 
 from . import __version__
 from .dynamics import Perturbation, SimConfig, run_experiment
-from .moments import PhysParams, moments, moment_printed
+from .moments import (PhysParams, moment_closed, moment_printed,
+                      moment_quadrature)
 from .numerics import DomainError, _map_jobs
 from .spectrum import classify
-from .variational import MollifierSpec, default_solve_grid, petviashvili_solve
+from .variational import convergence_study
 from .waves import (pohozaev_check, sobolev_constant,
                     sobolev_constant_printed_check, soliton_profile)
 
@@ -114,22 +115,22 @@ def _require_csv(args, command: str) -> None:
 
 def cmd_constants(args) -> int:
     p = _params_from(args)
-    closed = moments(p, method="closed_form")
-    quad = moments(p, method="quadrature")
+    closed = [moment_closed(j, p) for j in (1.0, 2.0, 3.0)]
+    quad = [moment_quadrature(j, p) for j in (1.0, 2.0, 3.0)]
     corrected, printed = sobolev_constant_printed_check(p.n, p.s)
     rows = [
-        {"quantity": "m1_closed", "value": closed.m1},
-        {"quantity": "m2_closed", "value": closed.m2},
-        {"quantity": "m3_closed", "value": closed.m3},
-        {"quantity": "m1_quadrature", "value": quad.m1},
-        {"quantity": "m2_quadrature", "value": quad.m2},
-        {"quantity": "m3_quadrature", "value": quad.m3},
+        {"quantity": "m1_closed", "value": closed[0]},
+        {"quantity": "m2_closed", "value": closed[1]},
+        {"quantity": "m3_closed", "value": closed[2]},
+        {"quantity": "m1_quadrature", "value": quad[0]},
+        {"quantity": "m2_quadrature", "value": quad[1]},
+        {"quantity": "m3_quadrature", "value": quad[2]},
         {"quantity": "m1_as_printed", "value": moment_printed(1, p)},
         {"quantity": "c2", "value": sobolev_constant(p)},
         {"quantity": "c2_formula_corrected_omega1", "value": corrected},
         {"quantity": "c2_formula_as_printed_omega1", "value": printed},
     ]
-    summary = {"m1": closed.m1, "c2": sobolev_constant(p)}
+    summary = {"m1": closed[0], "c2": sobolev_constant(p)}
     _emit(args, "constants", rows, ["quantity", "value"],
           vars_of(args), summary, "constants")
     return 0
@@ -204,24 +205,13 @@ def cmd_stability_map(args) -> int:
     return 0
 
 
-def _variational_cell(task):
-    p, spec, grid = task
-    r = petviashvili_solve(p, spec, grid)
-    gap = r.m_N - sobolev_constant(p)
-    return {"N": spec.scale, "m_N": r.m_N, "gap": gap,
-            "iterations": r.iterations, "residual": r.residual}
-
-
 def cmd_variational(args) -> int:
     try:
         scales = [float(t) for t in args.scales.split(",")]
     except ValueError as e:
         raise DomainError(f"bad --scales: {e}") from None
     p = _params_from(args)
-    # every scale and its grid is checked before the first solve
-    specs = [MollifierSpec(scale=sc) for sc in scales]
-    tasks = [(p, spec, default_solve_grid(p, spec)) for spec in specs]
-    rows = _map_jobs(_variational_cell, tasks, args.jobs)
+    rows = convergence_study(p, scales, jobs=args.jobs)
     gaps = [r["gap"] for r in rows]
     monotone = all(a > b for a, b in zip(gaps, gaps[1:]))
     _emit(args, "variational", rows,

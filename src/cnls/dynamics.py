@@ -39,6 +39,8 @@ class Perturbation:
             raise DomainError("perturbation amplitude must lie in [0, 0.5]")
         if self.shape not in ("greens-bump", "noise"):
             raise DomainError(f"unknown perturbation shape {self.shape!r}")
+        if self.seed < 0:
+            raise DomainError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -60,6 +62,9 @@ class SimConfig:
                    for v in (self.dt, self.t_final, self.half_length)):
             raise DomainError("dt, t_final, half_length must be finite and "
                               "positive")
+        if not math.isfinite(self.t_final / self.dt) or self.n_steps < 1:
+            raise DomainError(f"t_final / dt = {self.t_final / self.dt:g} "
+                              "must round to a finite step count >= 1")
         if self.sample_every < 1:
             raise DomainError("sample_every must be >= 1")
         # resonance-stability threshold of the splitting: the fastest mode
@@ -70,6 +75,11 @@ class SimConfig:
             raise DomainError(
                 f"dt*mu_max = {self.dt * mu_max:.2f} >= pi: reduce dt below "
                 f"{math.pi / mu_max:.2e} or coarsen the grid")
+
+    @property
+    def n_steps(self) -> int:
+        """Steps of a run: t_final / dt, rounded to the nearest integer."""
+        return int(round(self.t_final / self.dt))
 
     @property
     def h(self) -> float:
@@ -223,7 +233,11 @@ def step(state: SimState, cfg: SimConfig) -> SimState:
     return SimState(state.t + cfg.dt, v)
 
 
-def _fit_growth_rate(times, dists, floor, cap, window=8):
+# samples in each least-squares window of the growth-rate fit
+GROWTH_FIT_WINDOW = 8
+
+
+def _fit_growth_rate(times, dists, floor, cap):
     """Exponential growth rate of the distance over its linear-growth window.
 
     The early samples sit on the splitting-error noise floor and the late
@@ -232,11 +246,11 @@ def _fit_growth_rate(times, dists, floor, cap, window=8):
     sliding window restricted to floor < distance < cap.
     """
     idx = np.nonzero((dists > floor) & (dists < cap))[0]
-    if idx.size < window:
+    if idx.size < GROWTH_FIT_WINDOW:
         return None
     best = None
-    for i in range(idx.size - window + 1):
-        sel = idx[i:i + window]
+    for i in range(idx.size - GROWTH_FIT_WINDOW + 1):
+        sel = idx[i:i + GROWTH_FIT_WINDOW]
         t, d = times[sel], np.log(dists[sel])
         A = np.vstack([t, np.ones_like(t)]).T
         slope, _ = np.linalg.lstsq(A, d, rcond=None)[0]
@@ -248,7 +262,7 @@ def _fit_growth_rate(times, dists, floor, cap, window=8):
 def run_experiment(cfg: SimConfig) -> TimeSeries:
     phi = _wave_spectrum(cfg)  # once per run
     state = init_state(cfg, phi=phi)
-    n_steps = int(round(cfg.t_final / cfg.dt))
+    n_steps = cfg.n_steps
     rows = []  # t, mass, energy, centre modulus, modulated distance
     blow_up = None
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import DomainError, QuadratureSpec, beta, integrate_halfline, ln_gamma
+from .numerics import DomainError, beta, integrate_halfline, ln_gamma
 
 
 @dataclass(frozen=True)
@@ -48,18 +48,6 @@ class PhysParams:
         return self.n / (2.0 * self.s)
 
 
-@dataclass(frozen=True)
-class MomentTriple:
-    m1: float
-    m2: float
-    m3: float
-    method: str  # "closed_form" | "quadrature"
-
-    def __post_init__(self):
-        if not (self.m1 > 0 and self.m2 > 0 and self.m3 > 0):
-            raise DomainError("moments must be positive")
-
-
 def sphere_area(n: int) -> float:
     """Surface area of the unit sphere in R^n: 2 pi^{n/2} / Gamma(n/2)."""
     if n < 1:
@@ -89,30 +77,16 @@ def moment_printed(j: int, params: PhysParams) -> float:
     return 2.0 * params.s * moment_closed(j, params)
 
 
-def moment_quadrature(j: float, params: PhysParams,
-                      spec: QuadratureSpec | None = None) -> float:
+def moment_quadrature(j: float, params: PhysParams) -> float:
     """M_j(omega) by adaptive radial quadrature, independent of the Beta path."""
     a = params.a
     if j <= a:
         raise DomainError(f"requires j > n/(2s) = {a}, got j = {j}")
-    if spec is None:
-        spec = QuadratureSpec(rel_tol=1e-13, abs_tol=1e-16)
     n, s, om = params.n, params.s, params.omega
 
     def integrand(rho):
         return rho ** (n - 1) / ((2.0 * math.pi * rho) ** (2.0 * s) + om) ** j
 
     p = 2.0 * s * j - (n - 1)  # algebraic decay exponent, > 1 since j > n/(2s)
-    value, _ = integrate_halfline(integrand, p, spec)
+    value, _ = integrate_halfline(integrand, p, rel_tol=1e-13)
     return sphere_area(n) * value
-
-
-def moments(params: PhysParams, method: str = "closed_form") -> MomentTriple:
-    """Bundle (M_1, M_2, M_3) by the requested route."""
-    if method == "closed_form":
-        f = lambda j: moment_closed(j, params)
-    elif method == "quadrature":
-        f = lambda j: moment_quadrature(j, params)
-    else:
-        raise DomainError(f"unknown method {method!r}")
-    return MomentTriple(f(1.0), f(2.0), f(3.0), method)

@@ -65,19 +65,6 @@ class BlowUp(NumericsError):
 
 
 @dataclass(frozen=True)
-class QuadratureSpec:
-    rel_tol: float = 1e-12
-    abs_tol: float = 1e-14
-    max_subdivisions: int = 2000
-
-    def __post_init__(self):
-        if self.rel_tol <= 0 or self.abs_tol <= 0:
-            raise DomainError("tolerances must be positive")
-        if self.max_subdivisions < 1:
-            raise DomainError("max_subdivisions must be >= 1")
-
-
-@dataclass(frozen=True)
 class Bracket:
     lo: float
     hi: float
@@ -86,6 +73,10 @@ class Bracket:
         if not self.lo < self.hi:
             raise DomainError("bracket requires lo < hi")
 
+
+# absolute error floor and panel-split budget of every quadrature
+ABS_TOL = 1e-16
+MAX_SUBDIVISIONS = 2000
 
 # 15-point Gauss-Legendre panel rule; error estimated against the 7-point
 # rule on the same panel, refined by bisection.
@@ -103,21 +94,21 @@ def _panel(f, a, b):
     return v15, abs(v15 - v7)
 
 
-def _adaptive(f, a, b, rel_tol, abs_tol, max_subdivisions):
+def _adaptive(f, a, b, rel_tol):
     """Adaptive panel integration of a vectorized f on [a, b]."""
     stack = [(a, b)]
     total = 0.0
     err = 0.0
     # crude magnitude estimate for the relative-tolerance target
     v0, _ = _panel(f, a, b)
-    scale = max(abs(v0), abs_tol)
+    scale = max(abs(v0), ABS_TOL)
     n = 0
     while stack:
         lo, hi = stack.pop()
         v, e = _panel(f, lo, hi)
-        tol_here = max(abs_tol, rel_tol * scale) * (hi - lo) / (b - a)
-        if e <= tol_here or n >= max_subdivisions:
-            if n >= max_subdivisions and e > tol_here:
+        tol_here = max(ABS_TOL, rel_tol * scale) * (hi - lo) / (b - a)
+        if e <= tol_here or n >= MAX_SUBDIVISIONS:
+            if n >= MAX_SUBDIVISIONS and e > tol_here:
                 raise NonConvergence(
                     f"subdivision budget exhausted on [{lo}, {hi}] (err={e:g})"
                 )
@@ -132,11 +123,11 @@ def _adaptive(f, a, b, rel_tol, abs_tol, max_subdivisions):
     return total, err
 
 
-def integrate_halfline(f, decay_exponent: float,
-                       spec: QuadratureSpec = QuadratureSpec()):
+def integrate_halfline(f, decay_exponent: float, rel_tol: float):
     """Integrate f over (0, inf) given |f(rho)| <= C rho^{-p} at infinity.
 
-    Returns (value, err_estimate).  The integral over [R, inf) is bounded by
+    Returns (value, err_estimate) to the relative tolerance rel_tol, with
+    the absolute floor ABS_TOL.  The integral over [R, inf) is bounded by
     C R^{1-p}/(p-1) with C sampled from |f| near the cutoff R; R is grown
     until that bound is below tolerance.  [0, R] is integrated adaptively in
     the blocks [0, 1], [1, 4], [4, 16], ..., so the relative-tolerance scale
@@ -149,7 +140,7 @@ def integrate_halfline(f, decay_exponent: float,
 
     R = 1.0
     probe, _ = _panel(fv, 0.0, 1.0)
-    scale = max(abs(probe), spec.abs_tol)
+    scale = max(abs(probe), ABS_TOL)
     for _ in range(280):  # 4^280 stays below float overflow
         samples = np.array([R, 1.5 * R, 2.0 * R])
         # an integrand that overflows at R samples as 0 there, which would
@@ -165,7 +156,7 @@ def integrate_halfline(f, decay_exponent: float,
         # tail = |f(R)| R^p * R^{1-p}/(p-1) = |f(R)| R / (p-1)
         c_over = float(np.max(np.abs(f_samples) * samples))
         tail = c_over / (p - 1.0)
-        if tail <= 0.5 * max(spec.abs_tol, spec.rel_tol * scale):
+        if tail <= 0.5 * max(ABS_TOL, rel_tol * scale):
             break
         R *= 4.0
     else:
@@ -174,8 +165,7 @@ def integrate_halfline(f, decay_exponent: float,
     value = err = 0.0
     lo, hi = 0.0, min(1.0, R)
     while lo < R:
-        v, e = _adaptive(fv, lo, hi, spec.rel_tol, spec.abs_tol,
-                         spec.max_subdivisions)
+        v, e = _adaptive(fv, lo, hi, rel_tol)
         value += v
         err += e
         lo, hi = hi, min(4.0 * hi, R)

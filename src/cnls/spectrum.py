@@ -20,8 +20,8 @@ import numpy as np
 
 from .moments import PhysParams, moment_closed, sphere_area
 from .numerics import (Bracket, DomainError, GridTooCoarse, NonConvergence,
-                       NotApplicable, QuadratureSpec, RootSearchInconclusive,
-                       find_root, integrate_halfline)
+                       NotApplicable, RootSearchInconclusive, find_root,
+                       integrate_halfline)
 from .waves import sobolev_constant
 
 DEGENERACY_TOL = 1e-12
@@ -64,12 +64,12 @@ class OracleGrid:
         return k / (2.0 * self.half_length)
 
 
-def default_grid(params: PhysParams, modes: int = 8192) -> OracleGrid:
+def default_grid(params: PhysParams) -> OracleGrid:
     # L = 60 om^{-1/(2s)} with N=1024 leaves a Fourier cutoff too low for
     # the 1% eigenvalue tolerance; L=15 with N=8192 puts it at ~2 orders
     # of magnitude more headroom.
     return OracleGrid(half_length=15.0 * params.omega ** (-1.0 / (2 * params.s)),
-                      modes=modes)
+                      modes=8192)
 
 
 def bound_state(mu: float, params: PhysParams) -> BoundState:
@@ -153,15 +153,14 @@ def _im_il(lam: float, params: PhysParams):
     with m(xi) = (2 pi |xi|)^{2s} + omega, by radial quadrature."""
     n, s, om = params.n, params.s, params.omega
     area = sphere_area(n)
-    spec = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-16)
 
     def m_of(rho):
         return (2.0 * math.pi * rho) ** (2.0 * s) + om
 
     f_m = lambda rho: rho ** (n - 1) * m_of(rho) / (m_of(rho) ** 2 + lam ** 2)
     f_l = lambda rho: rho ** (n - 1) / (m_of(rho) ** 2 + lam ** 2)
-    im, _ = integrate_halfline(f_m, 2 * s - (n - 1), spec)
-    il, _ = integrate_halfline(f_l, 4 * s - (n - 1), spec)
+    im, _ = integrate_halfline(f_m, 2 * s - (n - 1), rel_tol=1e-12)
+    il, _ = integrate_halfline(f_l, 4 * s - (n - 1), rel_tol=1e-12)
     return area * im, lam * area * il
 
 
@@ -223,13 +222,12 @@ def _symbols(params: PhysParams, grid: OracleGrid):
     return (2.0 * math.pi * np.abs(xi)) ** (2.0 * params.s) + params.omega
 
 
-def secular_eigenvalues(mu: float, params: PhysParams, grid: OracleGrid,
-                        count: int = 4) -> np.ndarray:
-    """Lowest eigenvalues of the discretized L_mu = diag(d_k) - (mu/2L) 11^T
-    from the secular equation 1 = (mu/2L) sum_k 1/(d_k - lam).
-
-    Degenerate diagonal entries contribute one coupled root per distinct
-    value; the uncoupled combinations stay at the diagonal values.
+def secular_eigenvalues(mu: float, params: PhysParams,
+                        grid: OracleGrid) -> float:
+    """Lowest eigenvalue of the discretized L_mu = diag(d_k) - (mu/2L) 11^T:
+    the root below the whole diagonal of the secular equation
+    1 = (mu/2L) sum_k 1/(d_k - lam), degenerate d_k summed once with their
+    multiplicity.
     """
     d = _symbols(params, grid)
     dist, mult = np.unique(d, return_counts=True)
@@ -238,21 +236,10 @@ def secular_eigenvalues(mu: float, params: PhysParams, grid: OracleGrid,
     def secular(lam):
         return 1.0 - mu * w2 * np.sum(mult / (dist - lam))
 
-    eigs = []
-    # root below the whole diagonal
     lo = dist[0] - 1.0
     while secular(lo) < 0:
         lo = dist[0] - 2.0 * (dist[0] - lo)
-    eigs.append(find_root(secular, Bracket(lo, dist[0] - 1e-13), tol=1e-13))
-    # interlaced roots plus uncoupled copies of degenerate diagonal values
-    for i in range(min(count, dist.size - 1)):
-        gap = dist[i + 1] - dist[i]
-        eigs.append(find_root(secular,
-                              Bracket(dist[i] + 1e-12 * max(1.0, gap),
-                                      dist[i + 1] - 1e-12 * max(1.0, gap)),
-                              tol=1e-13))
-        eigs.extend([dist[i]] * (mult[i] - 1))
-    return np.sort(np.asarray(eigs))[:count]
+    return find_root(secular, Bracket(lo, dist[0] - 1e-13), tol=1e-13)
 
 
 def _discrete_sums(lam: float, params: PhysParams, grid: OracleGrid):
@@ -274,8 +261,7 @@ def discrete_eigen_determinant(lam: float, params: PhysParams,
     return (a * s_m - 1.0) * (b * s_m - 1.0) + a * b * s_l * s_l
 
 
-def oracle_unstable_eigenvalue(params: PhysParams, near: float,
-                               grid: OracleGrid | None = None) -> float:
+def oracle_unstable_eigenvalue(params: PhysParams, near: float) -> float:
     """Real positive JL eigenvalue of the discretized oracle, proved to lie
     within ORACLE_ROOT_RTOL of `near`: the discrete characteristic function
     D, negative below its positive root and positive above, must change
@@ -286,9 +272,8 @@ def oracle_unstable_eigenvalue(params: PhysParams, near: float,
     change the third digit of a printed error.  Three evaluations of D, so
     a large mode count is cheap.
     """
-    if grid is None:
-        grid = OracleGrid(half_length=30.0 * params.omega ** (-1.0 / (2 * params.s)),
-                          modes=1 << 22)
+    grid = OracleGrid(half_length=30.0 * params.omega ** (-1.0 / (2 * params.s)),
+                      modes=1 << 22)
     D = lambda lam: discrete_eigen_determinant(lam, params, grid)
     lo, hi = near * (1.0 - ORACLE_ROOT_RTOL), near * (1.0 + ORACLE_ROOT_RTOL)
     d_lo, d_hi = D(lo), D(hi)
@@ -322,25 +307,23 @@ def jl_dense_eigenvalues(params: PhysParams, grid: OracleGrid) -> np.ndarray:
     return np.emath.sqrt(-sq)
 
 
-def lpm_eigenvalues(params: PhysParams, grid: OracleGrid | None = None,
-                    count: int = 4):
-    """Lowest eigenvalues of the discretized L- and L+ (secular route)."""
-    if grid is None:
-        grid = default_grid(params)
+def lpm_eigenvalues(params: PhysParams) -> tuple[float, float]:
+    """Lowest eigenvalues of the discretized L- and L+ (secular route) on
+    the default grid."""
+    grid = default_grid(params)
     c2 = sobolev_constant(params)
-    minus = secular_eigenvalues(c2, params, grid, count)
-    plus = secular_eigenvalues((2 * params.sigma + 1) * c2, params, grid, count)
+    minus = secular_eigenvalues(c2, params, grid)
+    plus = secular_eigenvalues((2 * params.sigma + 1) * c2, params, grid)
     return minus, plus
 
 
-def coercivity_gap(params: PhysParams, grid: OracleGrid | None = None) -> float:
+def coercivity_gap(params: PhysParams) -> float:
     """Smallest Rayleigh quotient <L_+ v, v>/||v||_{H^s}^2 over discretized
     v orthogonal to the wave profile.  Only defined in the stable regime."""
     if vk_quantity(params) >= 0:
         raise NotApplicable("coercivity gap requires the stable regime (Q < 0)")
-    if grid is None:
-        grid = OracleGrid(half_length=15.0 * params.omega ** (-1.0 / (2 * params.s)),
-                          modes=1024)
+    grid = OracleGrid(half_length=15.0 * params.omega ** (-1.0 / (2 * params.s)),
+                      modes=1024)
     d = _symbols(params, grid)
     w2 = 1.0 / (2.0 * grid.half_length)
     b = (2 * params.sigma + 1) * sobolev_constant(params)

@@ -15,12 +15,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .moments import PhysParams
-from .numerics import DomainError, GridTooCoarse, NonConvergence, _adaptive
+from .numerics import (DomainError, GridTooCoarse, NonConvergence, _adaptive,
+                       _map_jobs)
 from .waves import sobolev_constant
 
 # largest default grid: 2^22 modes, the size of the discretized spectrum
 # oracle; a finer mollifier scale needs an explicit SolveGrid
 MAX_DEFAULT_MODES = 1 << 22
+# Petviashvili sweep budget and the relative sweep-to-sweep change that ends it
+MAX_SWEEPS = 10_000
+RESIDUAL_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -45,7 +49,7 @@ def _bump(r):
 @functools.cache
 def _bump_norm() -> float:
     """Z = int_{-1}^{1} exp(-1/(1-x^2)) dx, twice the integral over [0, 1]."""
-    val, _ = _adaptive(_bump, 0.0, 1.0, 1e-14, 1e-16, 2000)
+    val, _ = _adaptive(_bump, 0.0, 1.0, rel_tol=1e-14)
     return 2.0 * val
 
 
@@ -83,16 +87,11 @@ def default_solve_grid(params: PhysParams, spec: MollifierSpec) -> SolveGrid:
 
 
 def petviashvili_solve(params: PhysParams, spec: MollifierSpec,
-                       grid: SolveGrid | None = None,
-                       max_sweeps: int = 10_000,
-                       residual_tol: float = 1e-10,
-                       initial_guess=None) -> VariationalResult:
+                       grid: SolveGrid) -> VariationalResult:
     """Fixed point of u <- S^gamma (K + omega)^{-1} [V_N |u|^{2 sigma} u]
     with the stabilizing power gamma = (2 sigma + 1)/(2 sigma)."""
     if params.n != 1:
         raise DomainError("grid solves are implemented for n = 1 only")
-    if grid is None:
-        grid = default_solve_grid(params, spec)
     L, M = grid.half_length, grid.modes
     h = 2.0 * L / M
     if h > 1.0 / (8.0 * spec.scale):
@@ -105,12 +104,9 @@ def petviashvili_solve(params: PhysParams, spec: MollifierSpec,
     vn = mollifier_value(x, spec)
     gamma = (2 * sig + 1) / (2 * sig)
 
-    if initial_guess is None:
-        u = np.exp(-x ** 2)
-    else:
-        u = np.asarray(initial_guess(x), dtype=float)
+    u = np.exp(-x ** 2)
     s_exit = np.inf
-    for sweep in range(1, max_sweeps + 1):
+    for sweep in range(1, MAX_SWEEPS + 1):
         uh = np.fft.fft(u)
         nonlin = vn * np.abs(u) ** (2 * sig) * u
         lhs = float(np.sum((symbol + om) * np.abs(uh) ** 2).real) * h / M
@@ -120,11 +116,11 @@ def petviashvili_solve(params: PhysParams, spec: MollifierSpec,
         u_new *= s_fac ** gamma
         delta = np.max(np.abs(u_new - u)) / max(np.max(np.abs(u_new)), 1e-300)
         u = u_new
-        if delta < residual_tol and abs(s_fac - 1.0) < 1e-9:
+        if delta < RESIDUAL_TOL and abs(s_fac - 1.0) < 1e-9:
             s_exit = abs(s_fac - 1.0)
             break
     else:
-        raise NonConvergence(f"no fixed point after {max_sweeps} sweeps")
+        raise NonConvergence(f"no fixed point after {MAX_SWEEPS} sweeps")
 
     # normalize the constraint int V_N |u|^{2 sigma + 2} = 1
     cnorm = float(np.sum(vn * np.abs(u) ** (2 * sig + 2))) * h
@@ -144,11 +140,19 @@ def petviashvili_solve(params: PhysParams, spec: MollifierSpec,
                              grid_x=x, profile=phi, stabilizer=s_exit)
 
 
-def convergence_study(params: PhysParams, scales, **kw):
-    """Rows (N, m_N, gap to c^2(omega), iterations, residual)."""
+def _study_row(task) -> dict:
+    params, spec, grid, c2 = task
+    r = petviashvili_solve(params, spec, grid)
+    return {"N": spec.scale, "m_N": r.m_N, "gap": r.m_N - c2,
+            "iterations": r.iterations, "residual": r.residual}
+
+
+def convergence_study(params: PhysParams, scales, jobs: int = 1) -> list[dict]:
+    """One row {N, m_N, gap to c^2(omega), iterations, residual} per
+    mollifier scale N, the solves spread over `jobs` processes.  Every
+    scale and its default grid is checked before the first solve."""
+    specs = [MollifierSpec(scale=float(N)) for N in scales]
     c2 = sobolev_constant(params)
-    rows = []
-    for N in scales:
-        r = petviashvili_solve(params, MollifierSpec(scale=float(N)), **kw)
-        rows.append((float(N), r.m_N, r.m_N - c2, r.iterations, r.residual))
-    return rows
+    tasks = [(params, spec, default_solve_grid(params, spec), c2)
+             for spec in specs]
+    return _map_jobs(_study_row, tasks, jobs)

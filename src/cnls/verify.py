@@ -143,13 +143,13 @@ def check_bound_state_oracle() -> CheckResult:
     discretized secular oracle for the lowest L_+ eigenvalue at sigma=1."""
     p = PhysParams(n=1, s=1.0, omega=1.0, sigma=1.0)
     err_well = abs(bound_state(4.0, p).eigenvalue - (-3.0))
-    _, plus = lpm_eigenvalues(p, count=1)
+    _, plus = lpm_eigenvalues(p)
     semi = bound_state((2 * p.sigma + 1) * sobolev_constant(p), p).eigenvalue
-    rel = abs(plus[0] - semi) / abs(semi)
+    rel = abs(plus - semi) / abs(semi)
     ok = err_well < 1e-10 and rel < 0.01
     return _result("bound-state-oracle", ok,
                    f"delta-well err {err_well:.2e} (tol 1e-10); L+ lowest "
-                   f"{plus[0]:.4f} vs semi-analytic {semi:.4f}, "
+                   f"{plus:.4f} vs semi-analytic {semi:.4f}, "
                    f"rel {rel:.2e} (tol 1e-2)")
 
 
@@ -192,8 +192,8 @@ def check_variational_convergence() -> CheckResult:
     p = PhysParams(n=1, s=1.0, omega=1.0, sigma=1.0)
     c2 = sobolev_constant(p)
     rows = convergence_study(p, (4, 8, 16, 32))
-    gaps = [r[2] for r in rows]
-    above = all(r[1] >= c2 - 1e-8 for r in rows)
+    gaps = [r["gap"] for r in rows]
+    above = all(r["m_N"] >= c2 - 1e-8 for r in rows)
     monotone = all(g1 > g2 > 0 for g1, g2 in zip(gaps, gaps[1:]))
     ok = above and monotone
     return _result("variational-convergence", ok,

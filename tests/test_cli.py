@@ -199,7 +199,8 @@ class TestSimulate:
         assert "bogus" in err
 
     @pytest.mark.parametrize("line", ["dt = nan", "half_length = nan",
-                                      "t_final = inf", "sample_every = 0"])
+                                      "t_final = inf", "sample_every = 0",
+                                      "seed = -1"])
     def test_non_finite_or_empty_setting_exits_2(self, capsys, tmp_path,
                                                  line):
         cfg = tmp_path / "bad.cfg"
@@ -266,7 +267,7 @@ class TestImports:
                 "         '--r-range', '0:2:3']]\n"
                 "for argv in runs:\n"
                 "    assert main(argv) == 0, argv\n"
-                "lpm_eigenvalues(PhysParams(1, 1.0, 1.0, 1.0), count=1)\n"
+                "lpm_eigenvalues(PhysParams(1, 1.0, 1.0, 1.0))\n"
                 "print('loaded', scipy())\n"
                 "assert main(['profile', '--n', '2', '--s', '2',\n"
                 "             '--r-range', '0:2:3']) == 0\n"

@@ -40,7 +40,7 @@ class TestConfigValidation:
     @pytest.mark.parametrize("kw", [
         {"dt": float("nan")}, {"t_final": float("inf")},
         {"half_length": float("nan")}, {"sample_every": 0}, {"modes": 0},
-        {"modes": 1}])
+        {"modes": 1}, {"t_final": 1e-4}, {"dt": 1e-320}])
     def test_rejects_non_finite_and_empty_settings(self, kw):
         with pytest.raises(DomainError):
             _cfg(STABLE, **kw)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cnls.moments import (PhysParams, moment_closed, moment_printed,
-                          moment_quadrature, moments, sphere_area)
+                          moment_quadrature, sphere_area)
 from cnls.numerics import DomainError
 
 CLASSICAL = PhysParams(n=1, s=1.0, omega=1.0, sigma=1.0)
@@ -23,11 +23,6 @@ class TestExactValues:
             assert abs(moment_printed(j, CLASSICAL)
                        - 2.0 * moment_closed(float(j), CLASSICAL)) < 1e-14
 
-    def test_triple_container(self):
-        t = moments(CLASSICAL)
-        assert (t.m1, t.m2, t.m3) == pytest.approx((0.5, 0.25, 0.1875))
-        assert t.method == "closed_form"
-
 
 class TestQuadratureOracle:
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -40,9 +35,7 @@ class TestQuadratureOracle:
             assert abs(closed - quad) < 1e-10 * abs(closed)
 
     def test_quadrature_method_tag(self):
-        t = moments(CLASSICAL, method="quadrature")
-        assert t.method == "quadrature"
-        assert abs(t.m1 - 0.5) < 1e-10
+        assert abs(moment_quadrature(1.0, CLASSICAL) - 0.5) < 1e-10
 
 
 class TestScalingAndMonotonicity:

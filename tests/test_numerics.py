@@ -15,28 +15,29 @@ class TestIntegrateHalfline:
     def test_lorentzian(self):
         # (1/pi) arctan(2 pi rho) -> 1/2
         f = lambda r: 2.0 / (4 * math.pi ** 2 * r ** 2 + 1.0)
-        val, err = integrate_halfline(f, 2.0)
+        val, err = integrate_halfline(f, 2.0, rel_tol=1e-12)
         assert abs(val - 0.5) < 1e-12
         assert err < 1e-10
 
     def test_exponential(self):
-        val, _ = integrate_halfline(lambda r: np.exp(-r), 50.0)
+        val, _ = integrate_halfline(lambda r: np.exp(-r), 50.0,
+                                    rel_tol=1e-12)
         assert abs(val - 1.0) < 1e-12
 
     def test_algebraic(self):
         f = lambda r: r / (r ** 2 + 1.0) ** 2
-        val, _ = integrate_halfline(f, 3.0)
+        val, _ = integrate_halfline(f, 3.0, rel_tol=1e-12)
         assert abs(val - 0.5) < 1e-12
 
     def test_bad_decay_rejected(self):
         with pytest.raises(BadDecay):
-            integrate_halfline(lambda r: 1.0 / (1.0 + r), 1.0)
+            integrate_halfline(lambda r: 1.0 / (1.0 + r), 1.0, rel_tol=1e-12)
 
     def test_slow_tail(self):
         # p = 1.2: value is B(1/6... just check against closed form
         # int_0^inf dr/(1+r)^{1.2} = 1/0.2 = 5
         f = lambda r: (1.0 + r) ** -1.2
-        val, _ = integrate_halfline(f, 1.2)
+        val, _ = integrate_halfline(f, 1.2, rel_tol=1e-12)
         assert abs(val - 5.0) / 5.0 < 1e-10
 
     @given(a=st.floats(0.1, 5.0), b=st.floats(0.1, 5.0))
@@ -44,9 +45,10 @@ class TestIntegrateHalfline:
     def test_linearity(self, a, b):
         f = lambda r: np.exp(-r)
         g = lambda r: 1.0 / (1.0 + r ** 2) ** 2
-        vf, _ = integrate_halfline(f, 40.0)
-        vg, _ = integrate_halfline(g, 4.0)
-        vc, _ = integrate_halfline(lambda r: a * f(r) + b * g(r), 4.0)
+        vf, _ = integrate_halfline(f, 40.0, rel_tol=1e-12)
+        vg, _ = integrate_halfline(g, 4.0, rel_tol=1e-12)
+        vc, _ = integrate_halfline(lambda r: a * f(r) + b * g(r), 4.0,
+                                   rel_tol=1e-12)
         assert abs(vc - (a * vf + b * vg)) < 1e-9 * (1 + abs(vc))
 
     def test_overflowing_integrand_does_not_pass_for_a_small_tail(self):
@@ -55,7 +57,7 @@ class TestIntegrateHalfline:
         # the integrand samples as 0 there
         f = lambda r: r ** 2 / ((2 * math.pi * r) ** 3.0000002 + 1.0)
         with pytest.raises(NonConvergence, match="overflow"):
-            integrate_halfline(f, 1.0000002)
+            integrate_halfline(f, 1.0000002, rel_tol=1e-12)
         with pytest.raises(NonConvergence):
             moment_quadrature(1.0, PhysParams(n=3, s=1.5000001, omega=1.0,
                                               sigma=1.0))

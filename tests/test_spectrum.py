@@ -216,14 +216,14 @@ class TestClosedFormOracles:
 class TestDiscretizedOracle:
     def test_secular_lowest_matches_semi_analytic(self):
         grid = default_grid(CLASSICAL)
-        eigs = secular_eigenvalues(4.0, CLASSICAL, grid, count=1)
-        assert eigs[0] == pytest.approx(-3.0, rel=1e-2)
+        assert secular_eigenvalues(4.0, CLASSICAL, grid) == pytest.approx(
+            -3.0, rel=1e-2)
 
     def test_lplus_lowest(self):
-        minus, plus = lpm_eigenvalues(CLASSICAL, count=2)
+        minus, plus = lpm_eigenvalues(CLASSICAL)
         # L- has lowest eigenvalue 0 (kernel = wave), L+ has -8 at sigma=1
-        assert abs(minus[0]) < 0.05
-        assert plus[0] == pytest.approx(-8.0, rel=1e-2)
+        assert abs(minus) < 0.05
+        assert plus == pytest.approx(-8.0, rel=1e-2)
 
     @pytest.mark.parametrize("sig", [1.5, 2.0, 3.0])
     def test_oracle_root_near_semi_analytic(self, sig):

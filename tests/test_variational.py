@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cnls import numerics, variational
 from cnls.moments import PhysParams
 from cnls.numerics import DomainError
 from cnls.variational import (MAX_DEFAULT_MODES, GridTooCoarse, MollifierSpec,
@@ -8,8 +9,15 @@ from cnls.variational import (MAX_DEFAULT_MODES, GridTooCoarse, MollifierSpec,
                               default_solve_grid, mollifier_value,
                               petviashvili_solve)
 from cnls.waves import sobolev_constant
+from test_numerics import _FakePool
 
 CLASSICAL = PhysParams(n=1, s=1.0, omega=1.0, sigma=1.0)
+
+
+def _solve(scale):
+    spec = MollifierSpec(scale=scale)
+    return petviashvili_solve(CLASSICAL, spec,
+                              default_solve_grid(CLASSICAL, spec))
 
 
 class TestMollifier:
@@ -33,7 +41,7 @@ class TestMollifier:
 
 class TestPetviashvili:
     def test_converges_with_small_residual(self):
-        res = petviashvili_solve(CLASSICAL, MollifierSpec(scale=8.0))
+        res = _solve(8.0)
         assert res.residual < 1e-9
         assert res.iterations < 200
         assert res.stabilizer < 1e-9
@@ -42,21 +50,29 @@ class TestPetviashvili:
     def test_m_n_above_sharp_constant(self):
         c2 = sobolev_constant(CLASSICAL)
         for scale in (4.0, 16.0):
-            res = petviashvili_solve(CLASSICAL, MollifierSpec(scale=scale))
+            res = _solve(scale)
             assert res.m_N >= c2 - 1e-8
 
     def test_gap_monotone(self):
         rows = convergence_study(CLASSICAL, (4, 8, 16, 32))
-        gaps = [r[2] for r in rows]
+        gaps = [r["gap"] for r in rows]
         assert all(a > b > 0 for a, b in zip(gaps, gaps[1:]))
 
-    def test_warm_start_from_soliton(self):
-        # seeding with the known wave profile sqrt(2) e^{-|x|} converges fast
-        guess = lambda x: np.sqrt(2.0) * np.exp(-np.abs(x))
-        res = petviashvili_solve(CLASSICAL, MollifierSpec(scale=16.0),
-                                 initial_guess=guess)
-        assert res.iterations <= 50
-        assert res.residual < 1e-9
+    def test_study_checks_every_grid_before_solving(self, monkeypatch):
+        def no_solve(*args):
+            raise AssertionError("solved before every grid was checked")
+        monkeypatch.setattr(variational, "petviashvili_solve", no_solve)
+        with pytest.raises(DomainError, match="ceiling"):
+            convergence_study(CLASSICAL, (4, 1e9))
+
+    def test_study_jobs_keep_rows(self, monkeypatch):
+        # two workers on two CPUs, mapped in this process by the stand-in
+        monkeypatch.setattr(numerics.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(numerics, "ProcessPoolExecutor", _FakePool)
+        _FakePool.made.clear()
+        serial = convergence_study(CLASSICAL, (4, 8))
+        assert convergence_study(CLASSICAL, (4, 8), jobs=2) == serial
+        assert _FakePool.made == [2]
 
     def test_default_grid_mode_ceiling(self):
         # the default grid keeps 16 points per mollifier width on [-40, 40]
@@ -71,7 +87,7 @@ class TestPetviashvili:
                                grid=SolveGrid(half_length=40.0, modes=128))
 
     def test_constraint_normalized(self):
-        res = petviashvili_solve(CLASSICAL, MollifierSpec(scale=8.0))
+        res = _solve(8.0)
         x = res.grid_x
         h = x[1] - x[0]
         v = mollifier_value(x, MollifierSpec(scale=8.0))
