@@ -24,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .moments import PhysParams
+from .moments import FourierGrid, PhysParams, discrete_moment
 from .numerics import BlowUp, DomainError
 
 
@@ -70,7 +70,8 @@ class SimConfig:
         # resonance-stability threshold of the splitting: the fastest mode
         # must rotate by less than pi per step or the point coupling pumps
         # energy into it without bound
-        mu_max = (math.pi * self.modes / (2.0 * self.half_length)) ** (2.0 * self.params.s)
+        mu_max = _power(math.pi * self.modes / (2.0 * self.half_length),
+                        2.0 * self.params.s)
         if self.dt * mu_max >= math.pi:
             raise DomainError(
                 f"dt*mu_max = {self.dt * mu_max:.2f} >= pi: reduce dt below "
@@ -81,17 +82,20 @@ class SimConfig:
         """Steps of a run: t_final / dt, rounded to the nearest integer."""
         return int(round(self.t_final / self.dt))
 
+    @cached_property
+    def grid(self) -> FourierGrid:
+        return FourierGrid(self.half_length, self.modes)
+
     @property
     def h(self) -> float:
-        return 2.0 * self.half_length / self.modes
+        return self.grid.h
 
     @cached_property
     def symbol(self) -> np.ndarray:
         """Fourier symbol |2 pi xi|^{2s} of (-Delta)^s on the grid, built once
         per config (cached_property writes the instance __dict__, which a
         frozen dataclass allows) and read-only, since every caller shares it."""
-        xi = np.fft.fftfreq(self.modes, d=self.h)
-        sym = (2.0 * math.pi * np.abs(xi)) ** (2.0 * self.params.s)
+        sym = self.grid.symbol(self.params.s)
         sym.flags.writeable = False
         return sym
 
@@ -168,12 +172,12 @@ def _wave_spectrum(cfg: SimConfig) -> np.ndarray:
 
     phi_hat is proportional to 1/(mu_k + omega); the amplitude is fixed by the
     self-consistency phi(0)^{2 sigma} amplitude = amplitude itself, giving
-    A = S^{-(2 sigma + 1)/(2 sigma)} with S the discrete moment
+    A = S_1^{-(2 sigma + 1)/(2 sigma)} with S_1 the discrete moment
     (1/2L) sum 1/(mu_k + omega).  Converges to the continuum wave as the grid
     refines, and makes the split-step drift a pure splitting error.
     """
     om, sig = cfg.params.omega, cfg.params.sigma
-    s_disc = np.sum(1.0 / (cfg.symbol + om)) / (2.0 * cfg.half_length)
+    s_disc = discrete_moment(1, cfg.symbol + om, cfg.grid)
     amp = s_disc ** (-(2 * sig + 1) / (2 * sig))
     return amp * _greens_spectrum(cfg, om)
 
@@ -213,8 +217,7 @@ def init_state(cfg: SimConfig, phi=None) -> SimState:
         else:
             rng = np.random.default_rng(pert.seed)
             raw = rng.standard_normal(cfg.modes) + 1j * rng.standard_normal(cfg.modes)
-            xi = np.fft.fftfreq(cfg.modes, d=cfg.h)
-            bump = np.fft.fft(raw) * np.exp(-(2 * math.pi * xi) ** 2)
+            bump = np.fft.fft(raw) * np.exp(-cfg.grid.symbol(1.0))
         v = v + bump * (pert.eps * _hs_norm(phi, cfg) / _hs_norm(bump, cfg))
     return SimState(0.0, v)
 

@@ -4,6 +4,12 @@ Two independent evaluation routes: a closed form through the Beta function,
 and direct radial quadrature.  The closed form carries the substitution
 Jacobian factor 1/(2s); the quadrature route confirms it (at n=1, s=1,
 omega=1 the arctan antiderivative gives M_1 = 1/2).
+
+On a periodic grid the same moments are sums, S_j = (1/2L) sum_k d_k^{-j}
+with d_k = |2 pi xi_k|^{2s} + omega, and they converge to M_j as the grid
+refines.  Every grid computation of the package (the discretized spectrum
+oracles, the Petviashvili solve, the simulator) reads its symbol from one
+FourierGrid and its sums from discrete_moment.
 """
 
 from __future__ import annotations
@@ -90,3 +96,26 @@ def moment_quadrature(j: float, params: PhysParams) -> float:
     p = 2.0 * s * j - (n - 1)  # algebraic decay exponent, > 1 since j > n/(2s)
     value, _ = integrate_halfline(integrand, p, rel_tol=1e-13)
     return sphere_area(n) * value
+
+
+@dataclass(frozen=True)
+class FourierGrid:
+    """Periodic Fourier grid: domain [-L, L), M modes, spacing h = 2L/M and
+    a grid delta of weight 1/h at the x = 0 node."""
+    half_length: float
+    modes: int
+
+    @property
+    def h(self) -> float:
+        return 2.0 * self.half_length / self.modes
+
+    def symbol(self, s: float) -> np.ndarray:
+        """|2 pi xi_k|^{2s}, the symbol of (-Delta)^s, in FFT order."""
+        xi = np.fft.fftfreq(self.modes, d=self.h)
+        return (2.0 * math.pi * np.abs(xi)) ** (2.0 * s)
+
+
+def discrete_moment(j: int, d: np.ndarray, grid: FourierGrid) -> float:
+    """S_j = (1/2L) sum_k d_k^{-j}, the grid analogue of M_j for the
+    diagonal d = symbol + omega."""
+    return float(np.sum(1.0 / d ** j)) / (2.0 * grid.half_length)

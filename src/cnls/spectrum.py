@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .moments import PhysParams, moment_closed, sphere_area
+from .moments import (FourierGrid, PhysParams, discrete_moment, moment_closed,
+                      sphere_area)
 from .numerics import (Bracket, DomainError, GridTooCoarse, NonConvergence,
                        NotApplicable, RootSearchInconclusive, find_root,
                        integrate_halfline)
@@ -52,24 +53,12 @@ class SpectralReport:
     unstable_lambda: float | None
 
 
-@dataclass(frozen=True)
-class OracleGrid:
-    """Periodic Fourier discretization: domain [-L, L), N modes, grid delta
-    of weight 1/h at the x=0 node."""
-    half_length: float
-    modes: int
-
-    def fourier_freqs(self):
-        k = np.arange(-self.modes // 2, self.modes // 2)
-        return k / (2.0 * self.half_length)
-
-
-def default_grid(params: PhysParams) -> OracleGrid:
+def default_grid(params: PhysParams) -> FourierGrid:
     # L = 60 om^{-1/(2s)} with N=1024 leaves a Fourier cutoff too low for
     # the 1% eigenvalue tolerance; L=15 with N=8192 puts it at ~2 orders
     # of magnitude more headroom.
-    return OracleGrid(half_length=15.0 * params.omega ** (-1.0 / (2 * params.s)),
-                      modes=8192)
+    return FourierGrid(half_length=15.0 * params.omega ** (-1.0 / (2 * params.s)),
+                       modes=8192)
 
 
 def bound_state(mu: float, params: PhysParams) -> BoundState:
@@ -164,14 +153,20 @@ def _im_il(lam: float, params: PhysParams):
     return area * im, lam * area * il
 
 
-def oracle_eigen_determinant(lam: float, params: PhysParams) -> float:
-    """D(lambda) = (a I_m - 1)(b I_m - 1) + a b I_lam^2 with a = c^2 and
-    b = (2 sigma + 1) c^2, the integrals by radial quadrature.  Independent
-    of the analytic continuation behind eigen_determinant."""
+def _characteristic(x: float, y: float, params: PhysParams) -> float:
+    """(a x - 1)(b x - 1) + a b y^2 with a = c^2 and b = (2 sigma + 1) c^2:
+    D(lambda) given x + i y = M_1(omega - i lambda), from quadrature
+    integrals or from grid sums."""
     c2 = sobolev_constant(params)
     a, b = c2, (2 * params.sigma + 1) * c2
-    im, il = _im_il(lam, params)
-    return (a * im - 1.0) * (b * im - 1.0) + a * b * il * il
+    return (a * x - 1.0) * (b * x - 1.0) + a * b * y * y
+
+
+def oracle_eigen_determinant(lam: float, params: PhysParams) -> float:
+    """D(lambda) with I_m + i I_lam = M_1(omega - i lambda) by radial
+    quadrature.  Independent of the analytic continuation behind
+    eigen_determinant."""
+    return _characteristic(*_im_il(lam, params), params)
 
 
 def unstable_eigenvalue(params: PhysParams) -> float | None:
@@ -217,48 +212,33 @@ def classify(params: PhysParams, want_unstable_lambda: bool = True) -> SpectralR
 # discretized matrix oracle
 # ---------------------------------------------------------------------------
 
-def _symbols(params: PhysParams, grid: OracleGrid):
-    xi = grid.fourier_freqs()
-    return (2.0 * math.pi * np.abs(xi)) ** (2.0 * params.s) + params.omega
-
-
 def secular_eigenvalues(mu: float, params: PhysParams,
-                        grid: OracleGrid) -> float:
+                        grid: FourierGrid) -> float:
     """Lowest eigenvalue of the discretized L_mu = diag(d_k) - (mu/2L) 11^T:
-    the root below the whole diagonal of the secular equation
-    1 = (mu/2L) sum_k 1/(d_k - lam), degenerate d_k summed once with their
-    multiplicity.
-    """
-    d = _symbols(params, grid)
-    dist, mult = np.unique(d, return_counts=True)
-    w2 = 1.0 / (2.0 * grid.half_length)
+    the root of mu S_1(d - lam) = 1 below the whole diagonal, whose lowest
+    entry is d_0 = omega."""
+    d = grid.symbol(params.s) + params.omega
+    om = params.omega
 
     def secular(lam):
-        return 1.0 - mu * w2 * np.sum(mult / (dist - lam))
+        return 1.0 - mu * discrete_moment(1, d - lam, grid)
 
-    lo = dist[0] - 1.0
+    lo = om - 1.0
     while secular(lo) < 0:
-        lo = dist[0] - 2.0 * (dist[0] - lo)
-    return find_root(secular, Bracket(lo, dist[0] - 1e-13), tol=1e-13)
+        lo = om - 2.0 * (om - lo)
+    return find_root(secular, Bracket(lo, om - 1e-13), tol=1e-13)
 
 
-def _discrete_sums(lam: float, params: PhysParams, grid: OracleGrid):
-    d = _symbols(params, grid)
+def discrete_eigen_determinant(lam: float, params: PhysParams, d: np.ndarray,
+                               grid: FourierGrid) -> float:
+    """Exact characteristic function of the discretized JL problem for the
+    modes coupled to the delta node, on the diagonal d = symbol + omega: the
+    grid sums s_m + i s_l = S_1(d - i lam) replace the integrals."""
     w2 = 1.0 / (2.0 * grid.half_length)
     denom = d * d + lam * lam
     s_m = w2 * float(np.sum(d / denom))
     s_l = lam * w2 * float(np.sum(1.0 / denom))
-    return s_m, s_l
-
-
-def discrete_eigen_determinant(lam: float, params: PhysParams,
-                               grid: OracleGrid) -> float:
-    """Exact characteristic function of the discretized JL problem for the
-    modes coupled to the delta node (sums replace the continuum integrals)."""
-    c2 = sobolev_constant(params)
-    a, b = c2, (2 * params.sigma + 1) * c2
-    s_m, s_l = _discrete_sums(lam, params, grid)
-    return (a * s_m - 1.0) * (b * s_m - 1.0) + a * b * s_l * s_l
+    return _characteristic(s_m, s_l, params)
 
 
 def oracle_unstable_eigenvalue(params: PhysParams, near: float) -> float:
@@ -272,9 +252,10 @@ def oracle_unstable_eigenvalue(params: PhysParams, near: float) -> float:
     change the third digit of a printed error.  Three evaluations of D, so
     a large mode count is cheap.
     """
-    grid = OracleGrid(half_length=30.0 * params.omega ** (-1.0 / (2 * params.s)),
-                      modes=1 << 22)
-    D = lambda lam: discrete_eigen_determinant(lam, params, grid)
+    grid = FourierGrid(half_length=30.0 * params.omega ** (-1.0 / (2 * params.s)),
+                       modes=1 << 22)
+    d = grid.symbol(params.s) + params.omega
+    D = lambda lam: discrete_eigen_determinant(lam, params, d, grid)
     lo, hi = near * (1.0 - ORACLE_ROOT_RTOL), near * (1.0 + ORACLE_ROOT_RTOL)
     d_lo, d_hi = D(lo), D(hi)
     if not d_lo < 0.0 < d_hi:
@@ -290,12 +271,12 @@ def oracle_unstable_eigenvalue(params: PhysParams, near: float) -> float:
     return lo - d_lo * (hi - lo) / (d_hi - d_lo)
 
 
-def jl_dense_eigenvalues(params: PhysParams, grid: OracleGrid) -> np.ndarray:
+def jl_dense_eigenvalues(params: PhysParams, grid: FourierGrid) -> np.ndarray:
     """Spectrum of the discretized JL operator via the quadratic pencil
     lam^2 v = -(L_+ L_-) v, assembled densely (modest mode counts only)."""
     if grid.modes > 2048:
         raise GridTooCoarse("dense JL assembly limited to <= 2048 modes")
-    d = _symbols(params, grid)
+    d = grid.symbol(params.s) + params.omega
     w2 = 1.0 / (2.0 * grid.half_length)
     c2 = sobolev_constant(params)
     a, b = c2, (2 * params.sigma + 1) * c2
@@ -318,35 +299,19 @@ def lpm_eigenvalues(params: PhysParams) -> tuple[float, float]:
 
 
 def coercivity_gap(params: PhysParams) -> float:
-    """Smallest Rayleigh quotient <L_+ v, v>/||v||_{H^s}^2 over discretized
-    v orthogonal to the wave profile.  Only defined in the stable regime."""
+    """Smallest Rayleigh quotient <L_+ v, v>/<(K + omega) v, v> over
+    discretized v orthogonal to the wave profile 1/d, in closed form.
+
+    With L_+ = diag(d) - (b/2L) 11^T and b = (2 sigma + 1) c^2 the quotient
+    is 1 - (b/2L) (1^T v)^2 / (v^T diag(d) v), and the largest second term
+    over v perpendicular to 1/d is b (S_1 - S_2^2/S_3).  The energy norm is
+    the H^s norm at omega = 1, and the gap does not depend on omega.  Only
+    defined in the stable regime."""
     if vk_quantity(params) >= 0:
         raise NotApplicable("coercivity gap requires the stable regime (Q < 0)")
-    grid = OracleGrid(half_length=15.0 * params.omega ** (-1.0 / (2 * params.s)),
-                      modes=1024)
-    d = _symbols(params, grid)
-    w2 = 1.0 / (2.0 * grid.half_length)
+    grid = FourierGrid(half_length=15.0 * params.omega ** (-1.0 / (2 * params.s)),
+                       modes=1024)
+    d = grid.symbol(params.s) + params.omega
+    s1, s2, s3 = (discrete_moment(j, d, grid) for j in (1, 2, 3))
     b = (2 * params.sigma + 1) * sobolev_constant(params)
-    ones = np.ones_like(d)
-    lp = np.diag(d) - b * w2 * np.outer(ones, ones)
-    hs_weight = 1.0 + (d - params.omega)  # 1 + (2 pi |xi|)^{2s}
-
-    # Fourier coefficients of the wave direction: 1/d (up to scale)
-    phi = 1.0 / d
-    phi /= np.linalg.norm(phi)
-    # Householder reflection sending e_0 -> phi; columns 1..N-1 span phi-perp
-    v = phi.copy()
-    v[0] -= 1.0
-    nv = np.linalg.norm(v)
-    if nv > 0:
-        v /= nv
-        reflect = lambda mat: mat - 2.0 * np.outer(v, v @ mat)
-    else:
-        reflect = lambda mat: mat
-
-    a_full = reflect(reflect(lp).T)      # H lp H
-    b_full = reflect(reflect(np.diag(hs_weight)).T)
-    from scipy.linalg import eigh
-    vals = eigh(a_full[1:, 1:], b_full[1:, 1:], eigvals_only=True,
-                subset_by_index=(0, 0))
-    return float(vals[0])
+    return 1.0 - b * (s1 - s2 * s2 / s3)

@@ -14,13 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .moments import PhysParams
+from .moments import FourierGrid, PhysParams
 from .numerics import (DomainError, GridTooCoarse, NonConvergence, _adaptive,
                        _map_jobs)
 from .waves import sobolev_constant
 
 # largest default grid: 2^22 modes, the size of the discretized spectrum
-# oracle; a finer mollifier scale needs an explicit SolveGrid
+# oracle; a finer mollifier scale needs an explicit FourierGrid
 MAX_DEFAULT_MODES = 1 << 22
 # Petviashvili sweep budget and the relative sweep-to-sweep change that ends it
 MAX_SWEEPS = 10_000
@@ -61,12 +61,6 @@ def mollifier_value(x, spec: MollifierSpec):
 
 
 @dataclass(frozen=True)
-class SolveGrid:
-    half_length: float
-    modes: int
-
-
-@dataclass(frozen=True)
 class VariationalResult:
     m_N: float
     iterations: int
@@ -76,30 +70,28 @@ class VariationalResult:
     stabilizer: float  # |S - 1| at exit
 
 
-def default_solve_grid(params: PhysParams, spec: MollifierSpec) -> SolveGrid:
+def default_solve_grid(params: PhysParams, spec: MollifierSpec) -> FourierGrid:
     L = 40.0 * params.omega ** (-1.0 / (2 * params.s))
     h_target = 1.0 / (16.0 * spec.scale)
     modes = 1 << int(math.ceil(math.log2(2 * L / h_target)))
     if modes > MAX_DEFAULT_MODES:
         raise DomainError(f"mollifier scale {spec.scale:g} needs {modes} "
                           f"modes, above the {MAX_DEFAULT_MODES} ceiling")
-    return SolveGrid(half_length=L, modes=modes)
+    return FourierGrid(half_length=L, modes=modes)
 
 
 def petviashvili_solve(params: PhysParams, spec: MollifierSpec,
-                       grid: SolveGrid) -> VariationalResult:
+                       grid: FourierGrid) -> VariationalResult:
     """Fixed point of u <- S^gamma (K + omega)^{-1} [V_N |u|^{2 sigma} u]
     with the stabilizing power gamma = (2 sigma + 1)/(2 sigma)."""
     if params.n != 1:
         raise DomainError("grid solves are implemented for n = 1 only")
-    L, M = grid.half_length, grid.modes
-    h = 2.0 * L / M
+    L, M, h = grid.half_length, grid.modes, grid.h
     if h > 1.0 / (8.0 * spec.scale):
         raise GridTooCoarse(f"spacing {h:g} does not resolve mollifier "
                             f"scale 1/{spec.scale:g}")
     x = -L + h * np.arange(M)
-    xi = np.fft.fftfreq(M, d=h)
-    symbol = (2.0 * math.pi * np.abs(xi)) ** (2.0 * params.s)
+    symbol = grid.symbol(params.s)
     om, sig = params.omega, params.sigma
     vn = mollifier_value(x, spec)
     gamma = (2 * sig + 1) / (2 * sig)

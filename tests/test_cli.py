@@ -200,7 +200,8 @@ class TestSimulate:
 
     @pytest.mark.parametrize("line", ["dt = nan", "half_length = nan",
                                       "t_final = inf", "sample_every = 0",
-                                      "seed = -1"])
+                                      "seed = -1", "s = 400",
+                                      "half_length = 1e-300"])
     def test_non_finite_or_empty_setting_exits_2(self, capsys, tmp_path,
                                                  line):
         cfg = tmp_path / "bad.cfg"
@@ -252,7 +253,7 @@ class TestImports:
         code = ("import sys\n"
                 "from cnls.cli import main\n"
                 "from cnls.moments import PhysParams\n"
-                "from cnls.spectrum import lpm_eigenvalues\n"
+                "from cnls.spectrum import coercivity_gap, lpm_eigenvalues\n"
                 "def scipy():\n"
                 "    return sorted(m for m in sys.modules\n"
                 "                  if m.split('.')[0] == 'scipy')\n"
@@ -268,6 +269,7 @@ class TestImports:
                 "for argv in runs:\n"
                 "    assert main(argv) == 0, argv\n"
                 "lpm_eigenvalues(PhysParams(1, 1.0, 1.0, 1.0))\n"
+                "coercivity_gap(PhysParams(1, 1.0, 1.0, 0.5))\n"
                 "print('loaded', scipy())\n"
                 "assert main(['profile', '--n', '2', '--s', '2',\n"
                 "             '--r-range', '0:2:3']) == 0\n"

@@ -3,8 +3,9 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cnls.moments import (PhysParams, moment_closed, moment_printed,
-                          moment_quadrature, sphere_area)
+from cnls.moments import (FourierGrid, PhysParams, discrete_moment,
+                          moment_closed, moment_printed, moment_quadrature,
+                          sphere_area)
 from cnls.numerics import DomainError
 
 CLASSICAL = PhysParams(n=1, s=1.0, omega=1.0, sigma=1.0)
@@ -36,6 +37,16 @@ class TestQuadratureOracle:
 
     def test_quadrature_method_tag(self):
         assert abs(moment_quadrature(1.0, CLASSICAL) - 0.5) < 1e-10
+
+    @pytest.mark.parametrize("j", [1, 2, 3])
+    def test_discrete_moment_converges_to_closed(self, j):
+        # the grid sum S_j approaches M_j as the modes fill in the line
+        def rel_err(modes):
+            grid = FourierGrid(half_length=60.0, modes=modes)
+            d = grid.symbol(CLASSICAL.s) + CLASSICAL.omega
+            exact = moment_closed(float(j), CLASSICAL)
+            return abs(discrete_moment(j, d, grid) - exact) / exact
+        assert rel_err(1 << 18) <= rel_err(1 << 10) / 100.0
 
 
 class TestScalingAndMonotonicity:

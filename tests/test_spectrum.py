@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cnls.moments import PhysParams, moment_closed
+from cnls.moments import FourierGrid, PhysParams, moment_closed
 from cnls.numerics import (Bracket, DomainError, NonConvergence,
                            RootSearchInconclusive, find_root)
-from cnls.spectrum import (BoundState, NotApplicable, OracleGrid, bound_state,
+from cnls.spectrum import (BoundState, NotApplicable, bound_state,
                            classify, coercivity_gap, default_grid,
                            discrete_eigen_determinant, eigen_determinant,
                            jl_dense_eigenvalues, lpm_eigenvalues,
@@ -242,11 +242,12 @@ class TestDiscretizedOracle:
         # pencil and the discrete characteristic function locate the same
         # real eigenvalue
         p = PhysParams(n=1, s=1.0, omega=1.0, sigma=2.0)
-        grid = OracleGrid(half_length=15.0, modes=512)
+        grid = FourierGrid(half_length=15.0, modes=512)
         dense = jl_dense_eigenvalues(p, grid)
         real_pos = sorted(z.real for z in dense
                           if abs(z.imag) < 1e-8 and z.real > 1e-6)
-        D = lambda lam: discrete_eigen_determinant(lam, p, grid)
+        d = grid.symbol(p.s) + p.omega
+        D = lambda lam: discrete_eigen_determinant(lam, p, d, grid)
         root = find_root(D, Bracket(1e-6, 20.0), tol=1e-12)
         assert real_pos, "dense pencil found no real unstable eigenvalue"
         assert min(abs(r - root) for r in real_pos) < 1e-6 * root
@@ -264,3 +265,35 @@ class TestCoercivity:
     def test_not_applicable_when_unstable(self):
         with pytest.raises(NotApplicable):
             coercivity_gap(PhysParams(1, 1.0, 1.0, 2.0))
+
+    def test_closed_form_matches_dense_oracle(self):
+        # min of <L+ v, v> / <diag(d) v, v> over v perpendicular to 1/d,
+        # by an orthonormal basis of that complement, the Cholesky factor
+        # of the energy-norm Gram matrix and a symmetric eigensolve
+        p = PhysParams(n=1, s=1.0, omega=1.0, sigma=0.5)
+        grid = FourierGrid(half_length=15.0, modes=1024)
+        d = grid.symbol(p.s) + p.omega
+        b = (2 * p.sigma + 1) * sobolev_constant(p)
+        lp = np.diag(d) - b / (2.0 * grid.half_length)
+        q, _ = np.linalg.qr((1.0 / d)[:, None], mode="complete")
+        q = q[:, 1:]
+        chol = np.linalg.cholesky(q.T @ (d[:, None] * q))
+        half = np.linalg.solve(chol, q.T @ lp @ q)
+        whitened = np.linalg.solve(chol, half.T)
+        dense = np.linalg.eigvalsh(0.5 * (whitened + whitened.T))[0]
+        assert coercivity_gap(p) == pytest.approx(dense, abs=1e-13)
+
+    @pytest.mark.parametrize("sig,dense", [(0.5, 0.3452056551197434),
+                                           (0.7, 0.214246786143657),
+                                           (0.9, 0.08328791716759101)])
+    def test_matches_dense_generalized_eigensolve(self, sig, dense):
+        # values of the dense generalized eigensolve in the H^s norm,
+        # which is the energy norm at omega = 1
+        p = PhysParams(n=1, s=1.0, omega=1.0, sigma=sig)
+        assert coercivity_gap(p) == pytest.approx(dense, abs=1e-12)
+
+    @pytest.mark.parametrize("omega", [0.5, 2.0])
+    def test_energy_norm_gap_does_not_depend_on_omega(self, omega):
+        at_one = coercivity_gap(PhysParams(1, 1.0, 1.0, 0.5))
+        assert coercivity_gap(PhysParams(1, 1.0, omega, 0.5)) == \
+            pytest.approx(at_one, abs=1e-12)

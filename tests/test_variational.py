@@ -2,12 +2,11 @@ import numpy as np
 import pytest
 
 from cnls import numerics, variational
-from cnls.moments import PhysParams
+from cnls.moments import FourierGrid, PhysParams
 from cnls.numerics import DomainError
 from cnls.variational import (MAX_DEFAULT_MODES, GridTooCoarse, MollifierSpec,
-                              SolveGrid, convergence_study,
-                              default_solve_grid, mollifier_value,
-                              petviashvili_solve)
+                              convergence_study, default_solve_grid,
+                              mollifier_value, petviashvili_solve)
 from cnls.waves import sobolev_constant
 from test_numerics import _FakePool
 
@@ -84,7 +83,7 @@ class TestPetviashvili:
     def test_grid_too_coarse(self):
         with pytest.raises(GridTooCoarse):
             petviashvili_solve(CLASSICAL, MollifierSpec(scale=64.0),
-                               grid=SolveGrid(half_length=40.0, modes=128))
+                               grid=FourierGrid(half_length=40.0, modes=128))
 
     def test_constraint_normalized(self):
         res = _solve(8.0)
