@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .dynamics import Perturbation, SimConfig, run_experiment
+from .dynamics import SimConfig, run_experiment
 from .moments import (PhysParams, moment_closed, moment_printed,
                       moment_quadrature)
 from .numerics import DomainError, _map_jobs
@@ -58,8 +58,7 @@ def _parse_range(text: str) -> np.ndarray:
 
 
 def _params_from(args) -> PhysParams:
-    return PhysParams(n=args.n, s=args.s, omega=args.omega,
-                      sigma=getattr(args, "sigma", 1.0))
+    return PhysParams(n=args.n, s=args.s, omega=args.omega, sigma=args.sigma)
 
 
 def _write_manifest(out_dir: Path, command: str, parameters: dict,
@@ -88,6 +87,12 @@ def _write(args, command: str, fname: str, body: str, parameters: dict,
         sys.stdout.write(body)
 
 
+def _csv(rows: list[dict], header: list[str]) -> str:
+    lines = [",".join(header)]
+    lines += [",".join(_fmt(r[h]) for h in header) for r in rows]
+    return "\n".join(lines) + "\n"
+
+
 def _emit(args, command: str, rows: list[dict], header: list[str],
           parameters: dict, summary: dict, basename: str) -> None:
     """Write rows as CSV or JSON to --out (plus manifest) or stdout."""
@@ -96,17 +101,8 @@ def _emit(args, command: str, rows: list[dict], header: list[str],
                           indent=2, default=float) + "\n"
         fname = f"{basename}.json"
     else:
-        lines = [",".join(header)]
-        lines += [",".join(_fmt(r[h]) for h in header) for r in rows]
-        body = "\n".join(lines) + "\n"
-        fname = f"{basename}.csv"
+        body, fname = _csv(rows, header), f"{basename}.csv"
     _write(args, command, fname, body, parameters, summary)
-
-
-def _require_csv(args, command: str) -> None:
-    """Reject --format json for a command that has only its one output."""
-    if args.format != "csv":
-        raise DomainError(f"{command} has no --format {args.format} output")
 
 
 # ---------------------------------------------------------------------------
@@ -221,14 +217,12 @@ def cmd_variational(args) -> int:
     return 0
 
 
-_SIM_KEYS = {"n": int, "s": float, "omega": float, "sigma": float,
-             "half_length": float, "modes": int, "dt": float,
-             "t_final": float, "eps": float, "shape": str, "seed": int,
-             "sample_every": int}
+# a simulate config sets SimConfig's fields, each parsed as its default's type
+_SIM_KEYS = {f.name: type(f.default) for f in dataclasses.fields(SimConfig)}
 
 
 def _parse_sim_config(path: str) -> dict:
-    values = {}
+    values, set_on = {}, {}
     try:
         text = Path(path).read_text()
     except OSError as e:
@@ -243,6 +237,10 @@ def _parse_sim_config(path: str) -> dict:
         key, val = key.strip(), val.strip()
         if key not in _SIM_KEYS:
             raise DomainError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in set_on:
+            raise DomainError(f"{path}:{lineno}: key {key!r} already set on "
+                              f"line {set_on[key]}")
+        set_on[key] = lineno
         try:
             values[key] = _SIM_KEYS[key](val)
         except ValueError:
@@ -250,23 +248,11 @@ def _parse_sim_config(path: str) -> dict:
     return values
 
 
-def _fields_of(cls, values: dict) -> dict:
-    """The entries of values that name a field of the dataclass cls; the
-    dataclass defaults stand for the fields the config file leaves out."""
-    return {f.name: values[f.name] for f in dataclasses.fields(cls)
-            if f.name in values}
-
-
 def cmd_simulate(args) -> int:
-    _require_csv(args, "simulate")
     if not args.out:
         raise DomainError("simulate requires --out <dir>")
     cfgv = _parse_sim_config(args.config)
-    p = PhysParams(**{"n": 1, "s": 1.0, "omega": 1.0, "sigma": 1.0,
-                      **_fields_of(PhysParams, cfgv)})
-    cfg = SimConfig(params=p,
-                    perturbation=Perturbation(**_fields_of(Perturbation, cfgv)),
-                    **_fields_of(SimConfig, cfgv))
+    cfg = SimConfig(**cfgv)
 
     start = time.perf_counter()
     series = run_experiment(cfg)
@@ -286,12 +272,11 @@ def cmd_simulate(args) -> int:
         summary["growth_rate"] = series.growth_rate
     if series.blow_up_time is not None:
         summary["blow_up_time"] = series.blow_up_time
-    _emit(args, "simulate", rows, header, cfgv, summary, "series")
+    _write(args, "simulate", "series.csv", _csv(rows, header), cfgv, summary)
     return 0
 
 
 def cmd_verify(args) -> int:
-    _require_csv(args, "verify")
     from .verify import run_all
     results = run_all(jobs=args.jobs)
     lines = []
@@ -329,14 +314,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"error: {message}\n")
 
 
-def _add_common(sub, sigma=True):
-    sub.add_argument("--n", type=int, default=1)
-    sub.add_argument("--s", type=float, default=1.0)
-    sub.add_argument("--omega", type=float, default=1.0)
-    if sigma:
-        sub.add_argument("--sigma", type=float, default=1.0)
-
-
 def _positive_float(text: str) -> float:
     try:
         x = float(text)
@@ -347,74 +324,62 @@ def _positive_float(text: str) -> float:
     return x
 
 
-def _global_flags(parser, top_level):
-    # accepted both before and after the subcommand; SUPPRESS on the
-    # subparser copy so its default cannot clobber a top-level value
-    default = (lambda v: v) if top_level else (lambda v: argparse.SUPPRESS)
-    parser.add_argument("--format", choices=("csv", "json"),
-                        default=default("csv"))
-    parser.add_argument("--out", type=str, default=default(None))
-    parser.add_argument("--jobs", type=int, default=default(1))
-    parser.add_argument("--tol", type=_positive_float, default=default(1e-8),
-                        help="tolerance of the residual gates (pohozaev "
-                             "exits 1 above it); finite and > 0")
+# every flag, declared once; each command below names the flags it reads
+_FLAGS = {
+    "--format": dict(choices=("csv", "json"), default="csv"),
+    "--out": dict(help="write the output and a manifest.json to this dir"),
+    "--jobs": dict(type=int, default=1, help="worker processes (>= 1)"),
+    "--tol": dict(type=_positive_float, default=1e-8,
+                  help="exit 1 when a residual reaches TOL (finite, > 0)"),
+    "--n": dict(type=int, default=1),
+    "--s": dict(type=float, default=1.0),
+    "--omega": dict(type=float, default=1.0),
+    "--sigma": dict(type=float, default=1.0),
+    "--r-range": dict(default="0:10:201"),
+    "--quadrature": dict(action="store_true", help="use the quadrature "
+                         "oracle instead of closed forms"),
+    "--no-lambda": dict(action="store_true",
+                        help="skip the unstable-eigenvalue root search"),
+    "--s-range": dict(required=True),
+    "--sigma-range": dict(required=True),
+    "--with-lambda": dict(action="store_true", help="also solve for the "
+                          "unstable eigenvalue per cell"),
+    "--scales": dict(default="4,8,16,32",
+                     help="comma-separated mollifier scales N"),
+    "--config": dict(required=True),
+}
+_PARAMS = "--n --s --omega --sigma"
+
+
+def _command(sub, name, func, about, flags, **defaults):
+    c = sub.add_parser(name, help=about)
+    for flag in flags.split():
+        c.add_argument(flag, **_FLAGS[flag])
+    c.set_defaults(func=func, **defaults)
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="cnls", description=__doc__)
-    _global_flags(parser, top_level=True)
-    common = _Parser(add_help=False)
-    _global_flags(common, top_level=False)
     sub = parser.add_subparsers(dest="command", required=True,
-                                parser_class=lambda **kw: _Parser(
-                                    parents=[common], **kw))
-
-    c = sub.add_parser("constants", help="moment integrals and the sharp "
-                                         "embedding constant")
-    _add_common(c, sigma=False)
-    c.set_defaults(func=cmd_constants, sigma=1.0)
-
-    c = sub.add_parser("profile", help="sample the solitary-wave profile")
-    _add_common(c)
-    c.add_argument("--r-range", type=str, default="0:10:201")
-    c.set_defaults(func=cmd_profile)
-
-    c = sub.add_parser("pohozaev", help="identity residual report")
-    _add_common(c)
-    c.add_argument("--quadrature", action="store_true",
-                   help="use the quadrature oracle instead of closed forms")
-    c.set_defaults(func=cmd_pohozaev)
-
-    c = sub.add_parser("spectrum", help="spectral stability report")
-    _add_common(c)
-    c.add_argument("--no-lambda", action="store_true",
-                   help="skip the unstable-eigenvalue root search")
-    c.set_defaults(func=cmd_spectrum)
-
-    c = sub.add_parser("stability-map", help="classification sweep over "
-                                             "(s, sigma)")
-    c.add_argument("--n", type=int, default=1)
-    c.add_argument("--omega", type=float, default=1.0)
-    c.add_argument("--s-range", type=str, required=True)
-    c.add_argument("--sigma-range", type=str, required=True)
-    c.add_argument("--with-lambda", action="store_true",
-                   help="also solve for the unstable eigenvalue per cell")
-    c.set_defaults(func=cmd_stability_map)
-
-    c = sub.add_parser("variational", help="mollified minimization "
-                                           "convergence study")
-    _add_common(c)
-    c.add_argument("--scales", type=str, default="4,8,16,32",
-                   help="comma-separated mollifier scales N")
-    c.set_defaults(func=cmd_variational)
-
-    c = sub.add_parser("simulate", help="split-step time integration")
-    c.add_argument("--config", type=str, required=True)
-    c.set_defaults(func=cmd_simulate)
-
-    c = sub.add_parser("verify", help="run the full invariant suite")
-    c.set_defaults(func=cmd_verify)
-
+                                parser_class=_Parser)
+    _command(sub, "constants", cmd_constants, "moment integrals and the "
+             "sharp embedding constant", "--format --out --n --s --omega",
+             sigma=1.0)  # M_j and c^2 do not depend on sigma
+    _command(sub, "profile", cmd_profile, "sample the solitary-wave profile",
+             f"--format --out {_PARAMS} --r-range")
+    _command(sub, "pohozaev", cmd_pohozaev, "identity residual report",
+             f"--format --out --tol {_PARAMS} --quadrature")
+    _command(sub, "spectrum", cmd_spectrum, "spectral stability report",
+             f"--format --out {_PARAMS} --no-lambda")
+    _command(sub, "stability-map", cmd_stability_map, "classification sweep "
+             "over (s, sigma)", "--format --out --jobs --n --omega "
+             "--s-range --sigma-range --with-lambda")
+    _command(sub, "variational", cmd_variational, "mollified minimization "
+             "convergence study", f"--format --out --jobs {_PARAMS} --scales")
+    _command(sub, "simulate", cmd_simulate, "split-step time integration",
+             "--out --config")
+    _command(sub, "verify", cmd_verify, "run the full invariant suite",
+             "--out --jobs")
     return parser
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -29,32 +29,32 @@ from .numerics import BlowUp, DomainError
 
 
 @dataclass(frozen=True)
-class Perturbation:
+class SimConfig:
+    """One simulate run, and the schema of a `simulate` config file: each
+    field is one key.  The model parameters n, s, omega, sigma are read
+    through `params`; eps, shape and seed perturb the initial wave."""
+    n: int = 1
+    s: float = 1.0
+    omega: float = 1.0
+    sigma: float = 1.0
+    half_length: float = 40.0
+    modes: int = 1024
+    dt: float = 1e-3
+    t_final: float = 10.0
     eps: float = 0.0
     shape: str = "greens-bump"  # greens-bump | noise
     seed: int = 0
+    sample_every: int = 100
 
     def __post_init__(self):
+        params = self.params  # checks n, s, omega and sigma
         if not 0.0 <= self.eps <= 0.5:
             raise DomainError("perturbation amplitude must lie in [0, 0.5]")
         if self.shape not in ("greens-bump", "noise"):
             raise DomainError(f"unknown perturbation shape {self.shape!r}")
         if self.seed < 0:
             raise DomainError(f"seed must be >= 0, got {self.seed}")
-
-
-@dataclass(frozen=True)
-class SimConfig:
-    params: PhysParams
-    half_length: float = 40.0
-    modes: int = 1024
-    dt: float = 1e-3
-    t_final: float = 10.0
-    perturbation: Perturbation = field(default_factory=Perturbation)
-    sample_every: int = 100
-
-    def __post_init__(self):
-        if self.params.n != 1:
+        if params.n != 1:
             raise DomainError("the simulator is 1-D only")
         if self.modes < 2 or self.modes & (self.modes - 1):
             raise DomainError("modes must be a power of two >= 2")
@@ -71,11 +71,16 @@ class SimConfig:
         # must rotate by less than pi per step or the point coupling pumps
         # energy into it without bound
         mu_max = _power(math.pi * self.modes / (2.0 * self.half_length),
-                        2.0 * self.params.s)
+                        2.0 * params.s)
         if self.dt * mu_max >= math.pi:
             raise DomainError(
                 f"dt*mu_max = {self.dt * mu_max:.2f} >= pi: reduce dt below "
                 f"{math.pi / mu_max:.2e} or coarsen the grid")
+
+    @cached_property
+    def params(self) -> PhysParams:
+        return PhysParams(n=self.n, s=self.s, omega=self.omega,
+                          sigma=self.sigma)
 
     @property
     def n_steps(self) -> int:
@@ -209,16 +214,15 @@ def init_state(cfg: SimConfig, phi=None) -> SimState:
     configured perturbation, scaled to eps times the wave's H^s norm."""
     if phi is None:
         phi = _wave_spectrum(cfg)
-    pert = cfg.perturbation
     v = phi.astype(complex)
-    if pert.eps > 0:
-        if pert.shape == "greens-bump":
+    if cfg.eps > 0:
+        if cfg.shape == "greens-bump":
             bump = _greens_spectrum(cfg, 2.0 * cfg.params.omega)
         else:
-            rng = np.random.default_rng(pert.seed)
+            rng = np.random.default_rng(cfg.seed)
             raw = rng.standard_normal(cfg.modes) + 1j * rng.standard_normal(cfg.modes)
             bump = np.fft.fft(raw) * np.exp(-cfg.grid.symbol(1.0))
-        v = v + bump * (pert.eps * _hs_norm(phi, cfg) / _hs_norm(bump, cfg))
+        v = v + bump * (cfg.eps * _hs_norm(phi, cfg) / _hs_norm(bump, cfg))
     return SimState(0.0, v)
 
 

@@ -307,8 +307,10 @@ def coercivity_gap(params: PhysParams) -> float:
     over v perpendicular to 1/d is b (S_1 - S_2^2/S_3).  The energy norm is
     the H^s norm at omega = 1, and the gap does not depend on omega.  Only
     defined in the stable regime."""
-    if vk_quantity(params) >= 0:
-        raise NotApplicable("coercivity gap requires the stable regime (Q < 0)")
+    regime = stability_regime(params)
+    if regime != "stable":
+        raise NotApplicable(f"coercivity gap requires the stable regime, "
+                            f"not {regime}")
     grid = FourierGrid(half_length=15.0 * params.omega ** (-1.0 / (2 * params.s)),
                        modes=1024)
     d = grid.symbol(params.s) + params.omega

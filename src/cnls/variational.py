@@ -97,7 +97,6 @@ def petviashvili_solve(params: PhysParams, spec: MollifierSpec,
     gamma = (2 * sig + 1) / (2 * sig)
 
     u = np.exp(-x ** 2)
-    s_exit = np.inf
     for sweep in range(1, MAX_SWEEPS + 1):
         uh = np.fft.fft(u)
         nonlin = vn * np.abs(u) ** (2 * sig) * u

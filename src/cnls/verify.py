@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import (Perturbation, SimConfig, discrete_energy, discrete_mass,
-                       init_state, step)
+from .dynamics import (SimConfig, discrete_energy, discrete_mass, init_state,
+                       step)
 from .moments import PhysParams, moment_closed, moment_quadrature
 from .numerics import _map_jobs
 from .spectrum import (DEGENERACY_TOL, ORACLE_ROOT_RTOL, bound_state,
@@ -23,6 +23,25 @@ from .spectrum import (DEGENERACY_TOL, ORACLE_ROOT_RTOL, bound_state,
 from .variational import convergence_study
 from .waves import (pohozaev_check, sobolev_constant,
                     sobolev_constant_printed_check)
+
+
+# Each check's gates, written once: the comparison reads them and the
+# printed detail formats them with _sci.
+MOMENT_RTOL = 1e-10              # closed-form vs quadrature moments
+MOMENT_EXACT_TOL = 1e-14         # the exact n = s = omega = 1 moments
+SOBOLEV_EXACT_TOL = 1e-12        # c^2 = 2 at the classical point
+SOBOLEV_FORMULA_RTOL = 1e-10     # corrected embedding-constant formula
+POHOZAEV_TOL = 1e-8              # quadrature identity residuals
+POHOZAEV_EXACT_TOL = 1e-12       # mass = seminorm = 2 at the classical point
+VK_FRACTION_TOL = 1e-12          # exact rational values of Q
+DELTA_WELL_TOL = 1e-10           # classical delta-well eigenvalue
+LPLUS_RTOL = 1e-2                # secular vs semi-analytic L+ eigenvalue
+ROOT_D_TOL = 1e-10               # quadrature |D| at the closed-form roots
+LIMIT_CLOSED_RTOL = 1e-6         # D/lambda^2 limit, closed-form D
+LIMIT_QUADRATURE_RTOL = 1e-3     # D/lambda^2 limit, quadrature D
+LEVEL_MARGIN = 1e-8              # m_N may undershoot c^2 by this much
+MASS_DRIFT_TOL = 1e-10           # split-step mass drift over 1e4 steps
+ENERGY_RATIO_RANGE = (3.0, 5.0)  # energy drift ratio under dt halving
 
 
 @dataclass(frozen=True)
@@ -58,10 +77,11 @@ def check_moment_oracle() -> CheckResult:
     exact = (0.5, 0.25, 0.1875)
     exact_err = max(abs(moment_closed(j, p) - e)
                     for j, e in zip((1.0, 2.0, 3.0), exact))
-    ok = worst < 1e-10 and exact_err < 1e-14
+    ok = worst < MOMENT_RTOL and exact_err < MOMENT_EXACT_TOL
     return _result("moment-oracle", ok,
                    f"worst closed-vs-quadrature rel err {worst:.2e} "
-                   f"(tol 1e-10); exact-triple err {exact_err:.2e}")
+                   f"(tol {_sci(MOMENT_RTOL)}); exact-triple err "
+                   f"{exact_err:.2e}")
 
 
 def check_sobolev_constant() -> CheckResult:
@@ -75,10 +95,11 @@ def check_sobolev_constant() -> CheckResult:
             corrected, _ = sobolev_constant_printed_check(n, s)
             c2 = sobolev_constant(PhysParams(n=n, s=s, omega=1.0, sigma=1.0))
             worst = max(worst, abs(corrected - c2) / c2)
-    ok = err_classic < 1e-12 and worst < 1e-10
+    ok = err_classic < SOBOLEV_EXACT_TOL and worst < SOBOLEV_FORMULA_RTOL
     return _result("sobolev-constant", ok,
-                   f"classical-case err {err_classic:.2e} (tol 1e-12); "
-                   f"corrected-formula rel err {worst:.2e} (tol 1e-10)")
+                   f"classical-case err {err_classic:.2e} "
+                   f"(tol {_sci(SOBOLEV_EXACT_TOL)}); corrected-formula rel "
+                   f"err {worst:.2e} (tol {_sci(SOBOLEV_FORMULA_RTOL)})")
 
 
 def check_pohozaev() -> CheckResult:
@@ -97,10 +118,11 @@ def check_pohozaev() -> CheckResult:
     p = PhysParams(n=1, s=1.0, omega=1.0, sigma=1.0)
     r = pohozaev_check(p)
     exact_err = max(abs(r.l2_mass - 2.0), abs(r.homog_seminorm_sq - 2.0))
-    ok = worst < 1e-8 and exact_err < 1e-12
+    ok = worst < POHOZAEV_TOL and exact_err < POHOZAEV_EXACT_TOL
     return _result("pohozaev", ok,
-                   f"worst residual {worst:.2e} (tol 1e-8); classical "
-                   f"mass/seminorm err {exact_err:.2e} (tol 1e-12)")
+                   f"worst residual {worst:.2e} (tol {_sci(POHOZAEV_TOL)}); "
+                   f"classical mass/seminorm err {exact_err:.2e} "
+                   f"(tol {_sci(POHOZAEV_EXACT_TOL)})")
 
 
 def check_vk_fractions() -> CheckResult:
@@ -109,9 +131,10 @@ def check_vk_fractions() -> CheckResult:
     for sig, q_exact in ((1.0, 0.0), (2.0, 1.0 / 32.0), (0.5, -1.0 / 16.0)):
         q = vk_quantity(PhysParams(n=1, s=1.0, omega=1.0, sigma=sig))
         errs.append(abs(q - q_exact))
-    ok = max(errs) < 1e-12
+    ok = max(errs) < VK_FRACTION_TOL
     return _result("vk-fractions", ok,
-                   f"errors {[f'{e:.2e}' for e in errs]} (tol 1e-12)")
+                   f"errors {[f'{e:.2e}' for e in errs]} "
+                   f"(tol {_sci(VK_FRACTION_TOL)})")
 
 
 def check_stability_boundary() -> CheckResult:
@@ -146,11 +169,12 @@ def check_bound_state_oracle() -> CheckResult:
     _, plus = lpm_eigenvalues(p)
     semi = bound_state((2 * p.sigma + 1) * sobolev_constant(p), p).eigenvalue
     rel = abs(plus - semi) / abs(semi)
-    ok = err_well < 1e-10 and rel < 0.01
+    ok = err_well < DELTA_WELL_TOL and rel < LPLUS_RTOL
     return _result("bound-state-oracle", ok,
-                   f"delta-well err {err_well:.2e} (tol 1e-10); L+ lowest "
-                   f"{plus:.4f} vs semi-analytic {semi:.4f}, "
-                   f"rel {rel:.2e} (tol 1e-2)")
+                   f"delta-well err {err_well:.2e} "
+                   f"(tol {_sci(DELTA_WELL_TOL)}); L+ lowest {plus:.4f} "
+                   f"vs semi-analytic {semi:.4f}, "
+                   f"rel {rel:.2e} (tol {_sci(LPLUS_RTOL)})")
 
 
 def check_linearized_eigenvalue() -> CheckResult:
@@ -176,24 +200,27 @@ def check_linearized_eigenvalue() -> CheckResult:
             got = D(1e-4, p) / 1e-8
             lim[D] = max(lim[D], abs(got - target) / abs(target))
     lim_closed, lim_quad = lim.values()
-    ok = (worst_root < ORACLE_ROOT_RTOL and worst_quad < 1e-10
-          and lim_closed < 1e-6 and lim_quad < 1e-3)
+    ok = (worst_root < ORACLE_ROOT_RTOL and worst_quad < ROOT_D_TOL
+          and lim_closed < LIMIT_CLOSED_RTOL
+          and lim_quad < LIMIT_QUADRATURE_RTOL)
     return _result("linearized-eigenvalue", ok,
                    f"worst root rel err {worst_root:.2e} "
                    f"(tol {_sci(ORACLE_ROOT_RTOL)}); "
-                   f"quadrature |D| at roots {worst_quad:.2e} (tol 1e-10); "
+                   f"quadrature |D| at roots {worst_quad:.2e} "
+                   f"(tol {_sci(ROOT_D_TOL)}); "
                    f"small-lambda limit rel err {lim_closed:.2e} closed "
-                   f"(tol 1e-6), {lim_quad:.2e} quadrature (tol 1e-3)")
+                   f"(tol {_sci(LIMIT_CLOSED_RTOL)}), {lim_quad:.2e} "
+                   f"quadrature (tol {_sci(LIMIT_QUADRATURE_RTOL)})")
 
 
 def check_variational_convergence() -> CheckResult:
-    """m_N stays above c^2 - 1e-8 and its gap decreases monotonically over
-    the mollifier scales 4, 8, 16, 32."""
+    """m_N stays above c^2 - LEVEL_MARGIN and its gap decreases
+    monotonically over the mollifier scales 4, 8, 16, 32."""
     p = PhysParams(n=1, s=1.0, omega=1.0, sigma=1.0)
     c2 = sobolev_constant(p)
     rows = convergence_study(p, (4, 8, 16, 32))
     gaps = [r["gap"] for r in rows]
-    above = all(r["m_N"] >= c2 - 1e-8 for r in rows)
+    above = all(r["m_N"] >= c2 - LEVEL_MARGIN for r in rows)
     monotone = all(g1 > g2 > 0 for g1, g2 in zip(gaps, gaps[1:]))
     ok = above and monotone
     return _result("variational-convergence", ok,
@@ -204,9 +231,8 @@ def check_variational_convergence() -> CheckResult:
 def check_dynamics_conservation() -> CheckResult:
     """Fast half of the dynamics suite: exact mass conservation over 1e4
     steps and second-order energy drift under dt halving."""
-    p = PhysParams(n=1, s=1.0, omega=1.0, sigma=0.5)
-    cfg = SimConfig(params=p, half_length=40.0, modes=1024, dt=1e-3,
-                    t_final=10.0)
+    cfg = SimConfig(n=1, s=1.0, omega=1.0, sigma=0.5, half_length=40.0,
+                    modes=1024, dt=1e-3, t_final=10.0)
     st = init_state(cfg)
     m0 = discrete_mass(st.spectrum, cfg)
     for _ in range(10_000):
@@ -214,9 +240,9 @@ def check_dynamics_conservation() -> CheckResult:
     drift = abs(discrete_mass(st.spectrum, cfg) - m0) / m0
 
     def energy_drift(dt):
-        c = SimConfig(params=p, half_length=40.0, modes=1024, dt=dt,
-                      t_final=2.0,
-                      perturbation=Perturbation(eps=0.3, shape="noise", seed=7))
+        c = SimConfig(n=1, s=1.0, omega=1.0, sigma=0.5, half_length=40.0,
+                      modes=1024, dt=dt, t_final=2.0, eps=0.3, shape="noise",
+                      seed=7)
         s = init_state(c)
         e0, mx = discrete_energy(s.spectrum, c), 0.0
         for _ in range(int(round(2.0 / dt))):
@@ -226,10 +252,12 @@ def check_dynamics_conservation() -> CheckResult:
 
     d1, d2 = energy_drift(4e-4), energy_drift(2e-4)
     ratio = d1 / d2
-    ok = drift < 1e-10 and 3.0 <= ratio <= 5.0
+    lo, hi = ENERGY_RATIO_RANGE
+    ok = drift < MASS_DRIFT_TOL and lo <= ratio <= hi
     return _result("dynamics-conservation", ok,
-                   f"mass drift {drift:.2e} over 1e4 steps (tol 1e-10); "
-                   f"energy drift ratio {ratio:.2f} (want [3,5])")
+                   f"mass drift {drift:.2e} over 1e4 steps "
+                   f"(tol {_sci(MASS_DRIFT_TOL)}); "
+                   f"energy drift ratio {ratio:.2f} (want [{lo:g},{hi:g}])")
 
 
 ALL_CHECKS = (

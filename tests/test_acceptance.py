@@ -13,8 +13,7 @@ import pytest
 
 from cnls import verify
 from cnls.cli import main
-from cnls.dynamics import Perturbation, SimConfig, run_experiment
-from cnls.moments import PhysParams
+from cnls.dynamics import SimConfig, run_experiment
 
 
 @pytest.mark.parametrize("check", verify.ALL_CHECKS,
@@ -28,11 +27,8 @@ class TestDynamicsAcceptance:
     def test_stable_run_long_horizon(self):
         # sigma = 1/2 (subcritical), eps = 1e-3: modulated distance stays
         # within 5x its initial value out to t = 50
-        p = PhysParams(n=1, s=1.0, omega=1.0, sigma=0.5)
-        cfg = SimConfig(params=p, half_length=40.0, modes=1024, dt=2.5e-4,
-                        t_final=50.0,
-                        perturbation=Perturbation(eps=1e-3,
-                                                  shape="greens-bump"),
+        cfg = SimConfig(sigma=0.5, half_length=40.0, modes=1024, dt=2.5e-4,
+                        t_final=50.0, eps=1e-3, shape="greens-bump",
                         sample_every=2000)
         ts = run_experiment(cfg)
         assert ts.blow_up_time is None
@@ -45,11 +41,8 @@ class TestDynamicsAcceptance:
         # sigma = 2 (supercritical), eps = 1e-4: fitted exponential rate of
         # the modulated distance within 15% of the linearized eigenvalue
         # 4 sqrt(3)
-        p = PhysParams(n=1, s=1.0, omega=1.0, sigma=2.0)
-        cfg = SimConfig(params=p, half_length=40.0, modes=2048, dt=1e-4,
-                        t_final=1.6,
-                        perturbation=Perturbation(eps=1e-4,
-                                                  shape="greens-bump"),
+        cfg = SimConfig(sigma=2.0, half_length=40.0, modes=2048, dt=1e-4,
+                        t_final=1.6, eps=1e-4, shape="greens-bump",
                         sample_every=100)
         ts = run_experiment(cfg)
         lam = 4.0 * math.sqrt(3.0)

@@ -1,15 +1,20 @@
+import argparse
+import dataclasses
 import json
 import math
 import os
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import cnls
-from cnls.cli import _parse_range, build_parser, main
+from cnls.cli import (_SIM_KEYS, _parse_range, _parse_sim_config,
+                      build_parser, main)
+from cnls.dynamics import SimConfig
 from cnls.numerics import DomainError
 
 
@@ -37,6 +42,61 @@ class TestParsing:
         build_parser()
 
 
+def _options(parser):
+    return [opt for action in parser._actions
+            if not isinstance(action, argparse._HelpAction)
+            for opt in action.option_strings]
+
+
+# the flags each command reads, and no other
+OPTIONS = {
+    "constants": "--format --out --n --s --omega",
+    "profile": "--format --out --n --s --omega --sigma --r-range",
+    "pohozaev": "--format --out --tol --n --s --omega --sigma --quadrature",
+    "spectrum": "--format --out --n --s --omega --sigma --no-lambda",
+    "stability-map": "--format --out --jobs --n --omega --s-range "
+                     "--sigma-range --with-lambda",
+    "variational": "--format --out --jobs --n --s --omega --sigma --scales",
+    "simulate": "--out --config",
+    "verify": "--out --jobs",
+}
+
+UNREAD = [
+    ["constants", "--tol", "1e-3"],
+    ["profile", "--jobs", "2"],
+    ["spectrum", "--jobs", "2"],
+    ["simulate", "--config", "CFG", "--out", "OUT", "--format", "csv"],
+    ["simulate", "--config", "CFG", "--out", "OUT", "--format", "json"],
+    ["verify", "--format", "csv"],
+    ["verify", "--format", "json"],
+    ["--format", "json", "constants"],
+]
+
+
+class TestFlags:
+    def test_option_table(self):
+        parser = build_parser()
+        assert _options(parser) == []
+        (sub,) = [a for a in parser._actions
+                  if isinstance(a, argparse._SubParsersAction)]
+        table = {name: " ".join(_options(c)) for name, c in sub.choices.items()}
+        assert table == OPTIONS
+        assert sum(len(flags.split()) for flags in table.values()) == 47
+
+    @pytest.mark.parametrize("argv", UNREAD, ids=[" ".join(a) for a in UNREAD])
+    def test_unread_flag_exits_2(self, capsys, tmp_path, argv):
+        # argparse rejects the flag before any work: no output directory
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("sigma = 1\n")
+        out_dir = tmp_path / "out"
+        argv = [{"CFG": str(cfg), "OUT": str(out_dir)}.get(a, a) for a in argv]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out_dir.exists()
+
+
 class TestConstants:
     def test_classical_values(self, capsys):
         code, out, _ = run(["constants", "--n", "1", "--s", "1",
@@ -54,12 +114,12 @@ class TestConstants:
     @pytest.mark.parametrize("tol", ["0", "nan"])
     def test_tol_must_be_positive_and_finite(self, capsys, tol):
         with pytest.raises(SystemExit) as exc:
-            main(["constants", "--tol", tol])
+            main(["pohozaev", "--tol", tol])
         assert exc.value.code == 2
         assert "--tol" in capsys.readouterr().err
 
     def test_json_format(self, capsys):
-        code, out, _ = run(["--format", "json", "constants"], capsys)
+        code, out, _ = run(["constants", "--format", "json"], capsys)
         assert code == 0
         obj = json.loads(out)
         by_name = {r["quantity"]: r["value"] for r in obj["rows"]}
@@ -201,7 +261,8 @@ class TestSimulate:
     @pytest.mark.parametrize("line", ["dt = nan", "half_length = nan",
                                       "t_final = inf", "sample_every = 0",
                                       "seed = -1", "s = 400",
-                                      "half_length = 1e-300"])
+                                      "half_length = 1e-300",
+                                      "t_final = 0.02"])
     def test_non_finite_or_empty_setting_exits_2(self, capsys, tmp_path,
                                                  line):
         cfg = tmp_path / "bad.cfg"
@@ -211,15 +272,29 @@ class TestSimulate:
         assert code == 2
         assert err.startswith("error: ")
 
-    def test_json_format_exits_2_before_any_work(self, capsys, tmp_path):
+    def test_repeated_key_names_both_lines(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("sigma = 1\n")
-        out_dir = tmp_path / "out"
+        cfg.write_text("sigma = 1\nmodes = 512\nsigma = 2\n")
         code, _, err = run(["simulate", "--config", str(cfg),
-                            "--out", str(out_dir), "--format", "json"], capsys)
+                            "--out", str(tmp_path / "o")], capsys)
         assert code == 2
-        assert err.startswith("error: ")
-        assert not out_dir.exists()
+        assert err == f"error: {cfg}:3: key 'sigma' already set on line 1\n"
+
+    def test_every_simconfig_field_is_a_key(self, tmp_path):
+        hints = typing.get_type_hints(SimConfig)
+        assert _SIM_KEYS == {f.name: hints[f.name]
+                             for f in dataclasses.fields(SimConfig)}
+        values = {"n": 1, "s": 1.5, "omega": 2.0, "sigma": 0.5,
+                  "half_length": 30.0, "modes": 512, "dt": 1e-4,
+                  "t_final": 0.5, "eps": 0.1, "shape": "noise", "seed": 5,
+                  "sample_every": 7}
+        path = tmp_path / "all.cfg"
+        path.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
+        cfg = SimConfig(**_parse_sim_config(str(path)))
+        assert dataclasses.asdict(cfg) == values
+        # every value but n (the simulator is 1-D) differs from its default
+        default = SimConfig()
+        assert [k for k in values if getattr(default, k) == values[k]] == ["n"]
 
     def test_requires_out(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 import cnls.dynamics
-from cnls.dynamics import (Perturbation, SimConfig, SimState, _hs_norm,
-                           _wave_spectrum, centre_value, discrete_energy,
-                           discrete_mass, init_state, modulated_distance,
-                           run_experiment, step)
+from cnls.dynamics import (SimConfig, SimState, _hs_norm, _wave_spectrum,
+                           centre_value, discrete_energy, discrete_mass,
+                           init_state, modulated_distance, run_experiment,
+                           step)
 from cnls.moments import PhysParams
 from cnls.numerics import DomainError
 
@@ -20,7 +20,7 @@ DEGEN = PhysParams(n=1, s=1.0, omega=1.0, sigma=1.0)
 def _cfg(params, **kw):
     base = dict(half_length=40.0, modes=1024, dt=1e-3, t_final=1.0)
     base.update(kw)
-    return SimConfig(params=params, **base)
+    return SimConfig(**dataclasses.asdict(params), **base)
 
 
 class TestConfigValidation:
@@ -47,9 +47,9 @@ class TestConfigValidation:
 
     def test_perturbation_bounds(self):
         with pytest.raises(DomainError):
-            Perturbation(eps=0.7)
+            _cfg(STABLE, eps=0.7)
         with pytest.raises(DomainError):
-            Perturbation(eps=0.1, shape="square")
+            _cfg(STABLE, eps=0.1, shape="square")
 
 
 class TestDiscreteWave:
@@ -77,8 +77,7 @@ class TestDiscreteWave:
         assert offsets[2] < 0.05
 
     def test_perturbation_scales_distance(self):
-        cfg = _cfg(STABLE, perturbation=Perturbation(eps=0.01,
-                                                     shape="greens-bump"))
+        cfg = _cfg(STABLE, eps=0.01, shape="greens-bump")
         st = init_state(cfg)
         phi = _wave_spectrum(cfg)
         assert modulated_distance(st.spectrum, phi, cfg) \
@@ -144,8 +143,7 @@ class TestStep:
         # 1e-10 max|u|, the 10-step cases to 1e-12 absolute
         for s, steps in ((1.0, 10), (0.75, 10), (1.0, 2000)):
             cfg = _cfg(PhysParams(n=1, s=s, omega=1.0, sigma=2.0), modes=256,
-                       perturbation=Perturbation(eps=0.1, shape="noise",
-                                                 seed=3))
+                       eps=0.1, shape="noise", seed=3)
             st = init_state(cfg)
             u = st.field.copy()
             half = np.exp(-1j * cfg.symbol * cfg.dt / 2.0)
@@ -170,9 +168,8 @@ class TestStep:
 
 class TestRunExperiment:
     def test_stable_run_stays_close(self):
-        cfg = _cfg(STABLE, dt=2.5e-4, t_final=5.0,
-                   perturbation=Perturbation(eps=1e-3, shape="greens-bump"),
-                   sample_every=400)
+        cfg = _cfg(STABLE, dt=2.5e-4, t_final=5.0, eps=1e-3,
+                   shape="greens-bump", sample_every=400)
         ts = run_experiment(cfg)
         assert ts.mod_distance.max() < 5.0 * ts.mod_distance[0]
         assert ts.growth_rate is None
@@ -180,8 +177,7 @@ class TestRunExperiment:
         assert np.all(np.diff(ts.times) > 0)
 
     def test_noise_shape_reproducible(self):
-        cfg = _cfg(STABLE, t_final=0.05,
-                   perturbation=Perturbation(eps=0.05, shape="noise", seed=3))
+        cfg = _cfg(STABLE, t_final=0.05, eps=0.05, shape="noise", seed=3)
         a = run_experiment(cfg)
         b = run_experiment(cfg)
         assert np.array_equal(a.mod_distance, b.mod_distance)
@@ -214,8 +210,7 @@ class TestRunExperiment:
         # at sigma = 1000 the kicked centre value exceeds 1.43, so the kick
         # phase |u_j0|^{2 sigma} overflows in the first step
         cfg = _cfg(PhysParams(n=1, s=1.0, omega=1.0, sigma=1000.0),
-                   t_final=0.01,
-                   perturbation=Perturbation(eps=0.5, shape="greens-bump"))
+                   t_final=0.01, eps=0.5, shape="greens-bump")
         # the initial potential |q|^{2 sigma + 2} overflows too, so there is
         # no finite energy to drift from, and no numpy warning either
         with warnings.catch_warnings():

@@ -64,7 +64,6 @@ EXIT_CODES = [
     # the L+ bound-state eigenvalue overflows a float as a = n/(2s) -> 1
     (["spectrum", "--n", "3", "--s", "1.5001", "--sigma", "0.99",
       "--no-lambda"], 1),
-    (["verify", "--format", "json"], 2),
     (["spectrum", "--s", "inf"], 2),
     (["profile", "--n", "4", "--s", "3"], 2),
 ]

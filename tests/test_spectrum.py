@@ -263,8 +263,14 @@ class TestCoercivity:
         assert gaps[0] > gaps[1] > gaps[2]
 
     def test_not_applicable_when_unstable(self):
-        with pytest.raises(NotApplicable):
-            coercivity_gap(PhysParams(1, 1.0, 1.0, 2.0))
+        # unstable, then two degenerate cells (sigma = sigma*) where the
+        # round-off sign of Q is negative and positive
+        s = 0.556140350877193
+        for p in (PhysParams(1, 1.0, 1.0, 2.0),
+                  PhysParams(1, s, 1.0, 2 * s - 1),
+                  PhysParams(1, 1.0, 1.0, 1.0)):
+            with pytest.raises(NotApplicable):
+                coercivity_gap(p)
 
     def test_closed_form_matches_dense_oracle(self):
         # min of <L+ v, v> / <diag(d) v, v> over v perpendicular to 1/d,
