@@ -385,6 +385,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # the top-level parser has no flags but -h: argparse would read a flag's
+    # value as the command name ("invalid choice: '2'")
+    if argv and argv[0].startswith("-") and argv[0] not in ("-h", "--help"):
+        parser.error(f"{argv[0].partition('=')[0]} goes after the command "
+                     "name: cnls COMMAND [flags]")
     args = parser.parse_args(argv)
     try:
         return args.func(args)

@@ -1,9 +1,9 @@
 """The radial moments M_j(omega) = int dxi / ((2pi|xi|)^{2s} + omega)^j.
 
 Two independent evaluation routes: a closed form through the Beta function,
-and direct radial quadrature.  The closed form carries the substitution
-Jacobian factor 1/(2s); the quadrature route confirms it (at n=1, s=1,
-omega=1 the arctan antiderivative gives M_1 = 1/2).
+and direct radial quadrature by the exp-sinh rule of numerics.  The closed
+form carries the substitution Jacobian factor 1/(2s); the quadrature route
+confirms it (at n=1, s=1, omega=1 the arctan antiderivative gives M_1 = 1/2).
 
 On a periodic grid the same moments are sums, S_j = (1/2L) sum_k d_k^{-j}
 with d_k = |2 pi xi_k|^{2s} + omega, and they converge to M_j as the grid
@@ -84,17 +84,21 @@ def moment_printed(j: int, params: PhysParams) -> float:
 
 
 def moment_quadrature(j: float, params: PhysParams) -> float:
-    """M_j(omega) by adaptive radial quadrature, independent of the Beta path."""
+    """M_j(omega) by exp-sinh radial quadrature, independent of the Beta path."""
     a = params.a
     if j <= a:
         raise DomainError(f"requires j > n/(2s) = {a}, got j = {j}")
     n, s, om = params.n, params.s, params.omega
 
-    def integrand(rho):
-        return rho ** (n - 1) / ((2.0 * math.pi * rho) ** (2.0 * s) + om) ** j
+    # rho^{n-1} / ((2 pi rho)^{2s} + om)^j with rho^{(n-1)/j} divided into
+    # the base: no power overflows until the term is far below the sum
+    b = (n - 1) / j
+    c = (2.0 * math.pi) ** (2.0 * s)
 
-    p = 2.0 * s * j - (n - 1)  # algebraic decay exponent, > 1 since j > n/(2s)
-    value, _ = integrate_halfline(integrand, p, rel_tol=1e-13)
+    def integrand(rho):
+        return 1.0 / (c * rho ** (2.0 * s - b) + om * rho ** -b) ** j
+
+    value, _ = integrate_halfline(integrand, rel_tol=1e-13)
     return sphere_area(n) * value
 
 

@@ -1,8 +1,7 @@
-"""Self-contained numerical primitives: half-line quadrature with algebraic
-tails on an adaptive Gauss-Legendre panel rule (the package's one half-line
-integrator), log-Gamma/Beta, root finding by bisection of a sign-changing
-bracket (the package's one root finder), the `--jobs` process map, and the
-package's one exception hierarchy.
+"""Self-contained numerical primitives: half-line quadrature by the exp-sinh
+rule (the package's one half-line integrator), log-Gamma/Beta, root finding
+by bisection of a sign-changing bracket (the package's one root finder), the
+`--jobs` process map, and the package's one exception hierarchy.
 
 Every failure the package raises is a NumericsError.  A DomainError means a
 value from the caller lies outside the model's or the command's range (the
@@ -46,10 +45,6 @@ class NoSignChange(NumericsError):
     pass
 
 
-class BadDecay(NumericsError):
-    pass
-
-
 class GridTooCoarse(NumericsError):
     pass
 
@@ -74,102 +69,58 @@ class Bracket:
             raise DomainError("bracket requires lo < hi")
 
 
-# absolute error floor and panel-split budget of every quadrature
-ABS_TOL = 1e-16
-MAX_SUBDIVISIONS = 2000
-
-# 15-point Gauss-Legendre panel rule; error estimated against the 7-point
-# rule on the same panel, refined by bisection.
-_G7_X, _G7_W = np.polynomial.legendre.leggauss(7)
-_G15_X, _G15_W = np.polynomial.legendre.leggauss(15)
+# exp-sinh rule of integrate_halfline: nodes on |t| <= HALFLINE_T_MAX, the
+# step halved from HALFLINE_STEP at most MAX_HALVINGS times
+HALFLINE_T_MAX = 6.5
+HALFLINE_STEP = 1.0 / 8.0
+MAX_HALVINGS = 8
 
 
-def _panel(f, a, b):
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    f15 = f(mid + half * _G15_X)
-    f7 = f(mid + half * _G7_X)
-    v15 = half * float(np.dot(_G15_W, f15))
-    v7 = half * float(np.dot(_G7_W, f7))
-    return v15, abs(v15 - v7)
+def expsinh_nodes(h: float, t_max: float):
+    """Exp-sinh nodes y = exp((pi/2) sinh t) and weights h (pi/2) cosh t y
+    on the grid t = k h, |t| <= t_max (rounded up to a whole step)."""
+    t = h * np.arange(-math.ceil(t_max / h), math.ceil(t_max / h) + 1)
+    y = np.exp(0.5 * math.pi * np.sinh(t))
+    return y, h * 0.5 * math.pi * np.cosh(t) * y
 
 
-def _adaptive(f, a, b, rel_tol):
-    """Adaptive panel integration of a vectorized f on [a, b]."""
-    stack = [(a, b)]
-    total = 0.0
-    err = 0.0
-    # crude magnitude estimate for the relative-tolerance target
-    v0, _ = _panel(f, a, b)
-    scale = max(abs(v0), ABS_TOL)
-    n = 0
-    while stack:
-        lo, hi = stack.pop()
-        v, e = _panel(f, lo, hi)
-        tol_here = max(ABS_TOL, rel_tol * scale) * (hi - lo) / (b - a)
-        if e <= tol_here or n >= MAX_SUBDIVISIONS:
-            if n >= MAX_SUBDIVISIONS and e > tol_here:
-                raise NonConvergence(
-                    f"subdivision budget exhausted on [{lo}, {hi}] (err={e:g})"
-                )
-            total += v
-            err += e
-            scale = max(scale, abs(total))
-        else:
-            n += 1
-            mid = 0.5 * (lo + hi)
-            stack.append((lo, mid))
-            stack.append((mid, hi))
-    return total, err
+def integrate_halfline(f, rel_tol: float):
+    """Integrate a vectorized f over (0, inf) by the exp-sinh rule.
 
-
-def integrate_halfline(f, decay_exponent: float, rel_tol: float):
-    """Integrate f over (0, inf) given |f(rho)| <= C rho^{-p} at infinity.
-
-    Returns (value, err_estimate) to the relative tolerance rel_tol, with
-    the absolute floor ABS_TOL.  The integral over [R, inf) is bounded by
-    C R^{1-p}/(p-1) with C sampled from |f| near the cutoff R; R is grown
-    until that bound is below tolerance.  [0, R] is integrated adaptively in
-    the blocks [0, 1], [1, 4], [4, 16], ..., so the relative-tolerance scale
-    of a far block is not set by the near-origin panel.
+    The double-exponential substitution y = exp((pi/2) sinh t) makes both an
+    algebraic tail at infinity and a non-smooth power at 0 decay doubly
+    exponentially in t.  The step halves from HALFLINE_STEP until two sums
+    agree to rel_tol; returns (value, |S_h - S_2h|).  A non-finite term (an
+    overflow far out, where the exact term is below the float range) counts
+    as 0.  If the outermost non-zero term on either side still exceeds
+    rel_tol |sum|, the integrand has not decayed inside the window (its tail
+    is too slow, or it overflowed to 0 first) and NonConvergence is raised.
     """
-    p = decay_exponent
-    if p <= 1.0:
-        raise BadDecay(f"decay exponent must exceed 1, got {p}")
-    fv = lambda x: np.asarray(f(np.asarray(x, dtype=float)), dtype=float)
-
-    R = 1.0
-    probe, _ = _panel(fv, 0.0, 1.0)
-    scale = max(abs(probe), ABS_TOL)
-    for _ in range(280):  # 4^280 stays below float overflow
-        samples = np.array([R, 1.5 * R, 2.0 * R])
-        # an integrand that overflows at R samples as 0 there, which would
-        # pass for a tail bound met
-        try:
-            with np.errstate(over="raise"):
-                f_samples = fv(samples)
-        except FloatingPointError:
+    def exp_sinh_sum(h):
+        y, w = expsinh_nodes(h, HALFLINE_T_MAX)
+        with np.errstate(all="ignore"):
+            terms = np.asarray(f(y), dtype=float) * w
+        terms = np.where(np.isfinite(terms), terms, 0.0)
+        total = float(np.sum(terms))
+        nonzero = terms[terms != 0.0]
+        if nonzero.size and max(abs(nonzero[0]),
+                                abs(nonzero[-1])) > rel_tol * abs(total):
             raise NonConvergence(
-                f"integrand overflowed at R={R:g} before the tail "
-                "bound met tolerance") from None
-        # R^p can overflow for huge R; work with f(R) * R directly:
-        # tail = |f(R)| R^p * R^{1-p}/(p-1) = |f(R)| R / (p-1)
-        c_over = float(np.max(np.abs(f_samples) * samples))
-        tail = c_over / (p - 1.0)
-        if tail <= 0.5 * max(ABS_TOL, rel_tol * scale):
-            break
-        R *= 4.0
-    else:
-        raise NonConvergence("tail cutoff search did not terminate")
+                "integrand has not decayed at the ends of the exp-sinh window "
+                "(tail too slow, or overflow before decay)")
+        return total
 
-    value = err = 0.0
-    lo, hi = 0.0, min(1.0, R)
-    while lo < R:
-        v, e = _adaptive(fv, lo, hi, rel_tol)
-        value += v
-        err += e
-        lo, hi = hi, min(4.0 * hi, R)
-    return value, err + tail
+    h = HALFLINE_STEP
+    prev = exp_sinh_sum(h)
+    for _ in range(MAX_HALVINGS):
+        h *= 0.5
+        value = exp_sinh_sum(h)
+        err = abs(value - prev)
+        if err <= rel_tol * abs(value):
+            return value, err
+        prev = value
+    raise NonConvergence(
+        f"exp-sinh sums still differ by {err:g} at step {h:g}")
 
 
 def ln_gamma(x: float) -> float:

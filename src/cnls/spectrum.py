@@ -146,10 +146,12 @@ def _im_il(lam: float, params: PhysParams):
     def m_of(rho):
         return (2.0 * math.pi * rho) ** (2.0 * s) + om
 
-    f_m = lambda rho: rho ** (n - 1) * m_of(rho) / (m_of(rho) ** 2 + lam ** 2)
+    # m/(m^2 + lam^2) as 1/(m + lam^2/m): far out, where m overflows, the
+    # term is 0 rather than inf/inf
+    f_m = lambda rho: rho ** (n - 1) / (m_of(rho) + lam ** 2 / m_of(rho))
     f_l = lambda rho: rho ** (n - 1) / (m_of(rho) ** 2 + lam ** 2)
-    im, _ = integrate_halfline(f_m, 2 * s - (n - 1), rel_tol=1e-12)
-    il, _ = integrate_halfline(f_l, 4 * s - (n - 1), rel_tol=1e-12)
+    im, _ = integrate_halfline(f_m, rel_tol=1e-12)
+    il, _ = integrate_halfline(f_l, rel_tol=1e-12)
     return area * im, lam * area * il
 
 

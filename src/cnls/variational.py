@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .moments import FourierGrid, PhysParams
-from .numerics import (DomainError, GridTooCoarse, NonConvergence, _adaptive,
-                       _map_jobs)
+from .numerics import (DomainError, GridTooCoarse, NonConvergence, _map_jobs,
+                       integrate_halfline)
 from .waves import sobolev_constant
 
 # largest default grid: 2^22 modes, the size of the discretized spectrum
@@ -48,8 +48,10 @@ def _bump(r):
 
 @functools.cache
 def _bump_norm() -> float:
-    """Z = int_{-1}^{1} exp(-1/(1-x^2)) dx, twice the integral over [0, 1]."""
-    val, _ = _adaptive(_bump, 0.0, 1.0, rel_tol=1e-14)
+    """Z = int_{-1}^{1} exp(-1/(1-x^2)) dx = 2 int_0^inf exp(-cosh^2 u) /
+    cosh^2 u du, by x = tanh u."""
+    val, _ = integrate_halfline(
+        lambda u: np.exp(-np.cosh(u) ** 2) / np.cosh(u) ** 2, rel_tol=1e-14)
     return 2.0 * val
 
 

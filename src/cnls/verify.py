@@ -81,7 +81,7 @@ def check_moment_oracle() -> CheckResult:
     return _result("moment-oracle", ok,
                    f"worst closed-vs-quadrature rel err {worst:.2e} "
                    f"(tol {_sci(MOMENT_RTOL)}); exact-triple err "
-                   f"{exact_err:.2e}")
+                   f"{exact_err:.2e} (tol {_sci(MOMENT_EXACT_TOL)})")
 
 
 def check_sobolev_constant() -> CheckResult:
@@ -225,7 +225,8 @@ def check_variational_convergence() -> CheckResult:
     ok = above and monotone
     return _result("variational-convergence", ok,
                    "gaps " + ", ".join(f"{g:.4f}" for g in gaps)
-                   + f" toward c^2={c2:g} (monotone={monotone})")
+                   + f" toward c^2={c2:g} (monotone={monotone}); smallest "
+                   f"m_N - c^2 {min(gaps):.2e} (want >= -{_sci(LEVEL_MARGIN)})")
 
 
 def check_dynamics_conservation() -> CheckResult:

@@ -17,9 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .moments import PhysParams, moment_closed, moment_quadrature
-from .numerics import DomainError, UnsupportedDimension, ln_gamma
+from .numerics import (DomainError, UnsupportedDimension, expsinh_nodes,
+                       ln_gamma)
 
-# Green's function quadrature: exp-sinh nodes y = exp((pi/2) sinh t) on
+# Green's function quadrature: exp-sinh nodes (numerics.expsinh_nodes) on
 # |t| <= NODE_T_MAX with step at most NODE_STEP, on a ray at an angle chosen
 # by _ray_angle from these settings.
 NODE_T_MAX = 5.0
@@ -121,9 +122,7 @@ def greens_value(r: float, lam: float, params: PhysParams) -> float:
     theta = _ray_angle(alpha)
 
     # the poles lie pi/s apart in angle, so the step shrinks at large s
-    h = min(NODE_STEP, 1.0 / (8.0 * s))
-    t = h * np.arange(-math.ceil(NODE_T_MAX / h), math.ceil(NODE_T_MAX / h) + 1)
-    y = np.exp(0.5 * math.pi * np.sinh(t))
+    y, w = expsinh_nodes(min(NODE_STEP, 1.0 / (8.0 * s)), NODE_T_MAX)
     turn = kappa * np.exp(1j * theta)
     k = turn * y
     # far out on the ray k^{2s} can overflow and hankel1e returns NaN past
@@ -132,7 +131,7 @@ def greens_value(r: float, lam: float, params: PhysParams) -> float:
     with np.errstate(over="ignore", invalid="ignore"):
         f = k ** m * kernel(k * r) / (k ** (2.0 * s) + lam)
     f = np.where(np.isfinite(f), f, 0.0)
-    total = h * turn * np.sum(f * (0.5 * math.pi) * np.cosh(t) * y)
+    total = turn * np.sum(f * w)
 
     k_pole = kappa * np.exp(1j * alpha[alpha < theta])
     total += 2j * math.pi * np.sum(

@@ -70,6 +70,8 @@ UNREAD = [
     ["verify", "--format", "csv"],
     ["verify", "--format", "json"],
     ["--format", "json", "constants"],
+    ["--jobs", "2", "verify"],
+    ["--out", "OUT", "constants"],
 ]
 
 
@@ -93,7 +95,10 @@ class TestFlags:
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        if argv[0].startswith("-"):
+            assert f"{argv[0]} goes after the command name" in err
         assert not out_dir.exists()
 
 
@@ -125,10 +130,17 @@ class TestConstants:
         by_name = {r["quantity"]: r["value"] for r in obj["rows"]}
         assert by_name["m1_closed"] == pytest.approx(0.5)
 
-    def test_global_flags_after_subcommand(self, capsys):
-        code, out, _ = run(["constants", "--format", "json"], capsys)
-        assert code == 0
-        json.loads(out)
+    def test_global_flags_after_subcommand(self, capsys, tmp_path):
+        # --format and --out, once global flags, together after the command
+        code, out, _ = run(["constants", "--format", "json",
+                            "--out", str(tmp_path)], capsys)
+        assert code == 0 and out == ""
+        obj = json.loads((tmp_path / "constants.json").read_text())
+        by_name = {r["quantity"]: r["value"] for r in obj["rows"]}
+        assert by_name["m1_closed"] == pytest.approx(0.5)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["command"] == "constants"
+        assert manifest["outputs"] == ["constants.json"]
 
 
 class TestProfile:
@@ -317,7 +329,8 @@ class TestSimulate:
 class TestImports:
     def test_commands_leave_scipy_unimported(self, tmp_path):
         # scipy.special costs more to import than most commands take to
-        # run, so only the n = 2 Green's function may load it
+        # run, so only the n = 2 Green's function may load it (and with it
+        # numpy.polynomial, which nothing else loads)
         src = str(Path(cnls.__file__).resolve().parents[1])
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
@@ -346,6 +359,7 @@ class TestImports:
                 "lpm_eigenvalues(PhysParams(1, 1.0, 1.0, 1.0))\n"
                 "coercivity_gap(PhysParams(1, 1.0, 1.0, 0.5))\n"
                 "print('loaded', scipy())\n"
+                "assert 'numpy.polynomial' not in sys.modules\n"
                 "assert main(['profile', '--n', '2', '--s', '2',\n"
                 "             '--r-range', '0:2:3']) == 0\n"
                 "print('loaded', 'scipy.special' in scipy())\n")

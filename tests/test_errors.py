@@ -26,7 +26,7 @@ def test_every_exception_derives_from_numerics_error():
                for obj in vars(mod).values()
                if inspect.isclass(obj) and issubclass(obj, BaseException)
                and obj.__module__ == mod.__name__]
-    assert len(defined) == 10
+    assert len(defined) == 9
     assert all(issubclass(cls, numerics.NumericsError) for cls in defined)
 
 

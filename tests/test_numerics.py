@@ -5,59 +5,68 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cnls import numerics
-from cnls.moments import PhysParams, moment_quadrature
-from cnls.numerics import (BadDecay, Bracket, DomainError, NoSignChange,
-                           NonConvergence, _map_jobs, beta, find_root,
-                           integrate_halfline, ln_gamma)
+from cnls.moments import PhysParams, moment_closed, moment_quadrature
+from cnls.numerics import (Bracket, DomainError, NoSignChange, NonConvergence,
+                           _map_jobs, beta, find_root, integrate_halfline,
+                           ln_gamma)
 
 
 class TestIntegrateHalfline:
     def test_lorentzian(self):
         # (1/pi) arctan(2 pi rho) -> 1/2
         f = lambda r: 2.0 / (4 * math.pi ** 2 * r ** 2 + 1.0)
-        val, err = integrate_halfline(f, 2.0, rel_tol=1e-12)
+        val, err = integrate_halfline(f, rel_tol=1e-12)
         assert abs(val - 0.5) < 1e-12
         assert err < 1e-10
 
     def test_exponential(self):
-        val, _ = integrate_halfline(lambda r: np.exp(-r), 50.0,
-                                    rel_tol=1e-12)
+        val, _ = integrate_halfline(lambda r: np.exp(-r), rel_tol=1e-12)
         assert abs(val - 1.0) < 1e-12
 
     def test_algebraic(self):
         f = lambda r: r / (r ** 2 + 1.0) ** 2
-        val, _ = integrate_halfline(f, 3.0, rel_tol=1e-12)
+        val, _ = integrate_halfline(f, rel_tol=1e-12)
         assert abs(val - 0.5) < 1e-12
 
     def test_bad_decay_rejected(self):
-        with pytest.raises(BadDecay):
-            integrate_halfline(lambda r: 1.0 / (1.0 + r), 1.0, rel_tol=1e-12)
+        # the integral diverges: the rule's outermost terms do not decay
+        with pytest.raises(NonConvergence):
+            integrate_halfline(lambda r: 1.0 / (1.0 + r), rel_tol=1e-12)
 
     def test_slow_tail(self):
         # p = 1.2: value is B(1/6... just check against closed form
         # int_0^inf dr/(1+r)^{1.2} = 1/0.2 = 5
         f = lambda r: (1.0 + r) ** -1.2
-        val, _ = integrate_halfline(f, 1.2, rel_tol=1e-12)
+        val, _ = integrate_halfline(f, rel_tol=1e-12)
         assert abs(val - 5.0) / 5.0 < 1e-10
+        # the moment integrand decays like rho^{-1.1} at n = 1, s = 0.55
+        p = PhysParams(n=1, s=0.55, omega=1.0, sigma=1.0)
+        closed = moment_closed(1.0, p)
+        assert abs(moment_quadrature(1.0, p) - closed) / closed < 1e-13
 
     @given(a=st.floats(0.1, 5.0), b=st.floats(0.1, 5.0))
     @settings(max_examples=25, deadline=None)
     def test_linearity(self, a, b):
         f = lambda r: np.exp(-r)
         g = lambda r: 1.0 / (1.0 + r ** 2) ** 2
-        vf, _ = integrate_halfline(f, 40.0, rel_tol=1e-12)
-        vg, _ = integrate_halfline(g, 4.0, rel_tol=1e-12)
-        vc, _ = integrate_halfline(lambda r: a * f(r) + b * g(r), 4.0,
+        vf, _ = integrate_halfline(f, rel_tol=1e-12)
+        vg, _ = integrate_halfline(g, rel_tol=1e-12)
+        vc, _ = integrate_halfline(lambda r: a * f(r) + b * g(r),
                                    rel_tol=1e-12)
         assert abs(vc - (a * vf + b * vg)) < 1e-9 * (1 + abs(vc))
 
     def test_overflowing_integrand_does_not_pass_for_a_small_tail(self):
-        # decay exponent 1.0000002: the true tail bound never meets the
-        # tolerance, but (2 pi R)^{3.0000002} overflows near R ~ 1e102 and
-        # the integrand samples as 0 there
+        # decay exponent 1.0000002: the tail never meets the tolerance, but
+        # (2 pi r)^{3.0000002} overflows near r ~ 1e102 and the integrand
+        # is 0 past there
         f = lambda r: r ** 2 / ((2 * math.pi * r) ** 3.0000002 + 1.0)
         with pytest.raises(NonConvergence, match="overflow"):
-            integrate_halfline(f, 1.0000002, rel_tol=1e-12)
+            integrate_halfline(f, rel_tol=1e-12)
+        # 1/(1 + r^2) written as cosh r / (cosh r (1 + r^2)) is inf/inf, NaN,
+        # past r ~ 710, where its tail is still ~ 1e-3
+        g = lambda r: np.cosh(r) / (np.cosh(r) * (1.0 + r ** 2))
+        with pytest.raises(NonConvergence, match="overflow"):
+            integrate_halfline(g, rel_tol=1e-12)
         with pytest.raises(NonConvergence):
             moment_quadrature(1.0, PhysParams(n=3, s=1.5000001, omega=1.0,
                                               sigma=1.0))
