@@ -291,7 +291,8 @@ def cmd_verify(args) -> int:
         (out_dir / "verify.txt").write_text(body)
         _write_manifest(out_dir, "verify", vars_of(args), ["verify.txt"],
                         {"passed": sum(r.passed for r in results),
-                         "failed": sum(not r.passed for r in results)})
+                         "failed": sum(not r.passed for r in results),
+                         "seconds": {r.name: r.seconds for r in results}})
     if not all_ok:
         failing = [r.name for r in results if not r.passed]
         sys.stderr.write(f"invariant failure: {', '.join(failing)}\n")

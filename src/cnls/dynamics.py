@@ -10,9 +10,12 @@ The state is the spectrum v = fft(u), and the scheme runs on it without an
 FFT.  The rotation changes the one centre node j0 = M/2, whose Fourier vector
 is (-1)^k, so in Fourier space it is the rank-one update
 v += q (e^{i theta} - 1) (-1)^k, with q = <(-1)^k, v>/M = u(j0) and
-theta = |q|^{2 sigma} dt/h.  The diagnostics (mass by Parseval, energy,
-centre modulus, modulated distance) read the spectrum as well; the field is
-an inverse FFT taken only when a caller asks for it.
+theta = |q|^{2 sigma} dt/h.  With P = exp(-i symbol dt/2) the half phase,
+the whole step is v <- P^2 v + q (e^{i theta} - 1) P (-1)^k, where
+q = <P (-1)^k, v>/M is the centre value after the first half phase: one
+phase multiply per step.  The diagnostics (mass by Parseval, energy, centre
+modulus, modulated distance) read the spectrum as well; the field is an
+inverse FFT taken only when a caller asks for it.
 """
 
 from __future__ import annotations
@@ -100,23 +103,32 @@ class SimConfig:
         """Fourier symbol |2 pi xi|^{2s} of (-Delta)^s on the grid, built once
         per config (cached_property writes the instance __dict__, which a
         frozen dataclass allows) and read-only, since every caller shares it."""
-        sym = self.grid.symbol(self.params.s)
-        sym.flags.writeable = False
-        return sym
+        return _read_only(self.grid.symbol(self.params.s))
 
     @cached_property
     def half_phase(self) -> np.ndarray:
-        """Linear half-step propagator exp(-i symbol dt/2)."""
-        return np.exp(-1j * self.symbol * self.dt / 2.0)
+        """Linear half-step propagator P = exp(-i symbol dt/2)."""
+        return _read_only(np.exp(-1j * self.symbol * self.dt / 2.0))
+
+    @cached_property
+    def phase(self) -> np.ndarray:
+        """P^2: the two half phases of one Strang step, applied as one."""
+        return _read_only(self.half_phase * self.half_phase)
 
     @cached_property
     def centre_sign(self) -> np.ndarray:
         """(-1)^k: the spectrum of the unit vector at the centre node, and
         (over M) the row that reads u(j0) off a spectrum.  Complex, so the
         dot product with a spectrum is one BLAS call."""
-        sign = np.where(np.arange(self.modes) % 2 == 0, 1.0, -1.0) + 0j
-        sign.flags.writeable = False
-        return sign
+        return _read_only(
+            np.where(np.arange(self.modes) % 2 == 0, 1.0, -1.0) + 0j)
+
+    @cached_property
+    def kick_row(self) -> np.ndarray:
+        """P (-1)^k: over M, the row that reads the centre value after a
+        half phase off a spectrum, and the direction of the kick after the
+        second half phase."""
+        return _read_only(self.half_phase * self.centre_sign)
 
 
 @dataclass(frozen=True)
@@ -141,6 +153,13 @@ class TimeSeries:
     blow_up_time: float | None = None
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """a, locked against writes: the cached arrays of a SimConfig are
+    shared by every caller."""
+    a.flags.writeable = False
+    return a
+
+
 def _power(x: float, p: float) -> float:
     """x ** p for x >= 0, inf where the float power overflows."""
     try:
@@ -155,12 +174,13 @@ def centre_value(v, cfg: SimConfig) -> complex:
 
 
 def discrete_mass(v, cfg: SimConfig) -> float:
-    """h sum |u|^2, by Parseval h/M sum |v|^2."""
-    return cfg.h / cfg.modes * float(np.sum(np.abs(v) ** 2))
+    """h sum |u|^2, by Parseval h/M sum |v|^2 = h/M Re <v, v>."""
+    return cfg.h / cfg.modes * np.vdot(v, v).real
 
 
 def discrete_energy(v, cfg: SimConfig) -> float:
-    kin = 0.5 * cfg.h / cfg.modes * float(np.sum(cfg.symbol * np.abs(v) ** 2))
+    """h/(2M) sum symbol |v|^2 - |u(j0)|^{2 sigma + 2}/(2 sigma + 2)."""
+    kin = 0.5 * cfg.h / cfg.modes * np.vdot(v, cfg.symbol * v).real
     sig = cfg.params.sigma
     pot = _power(abs(centre_value(v, cfg)), 2 * sig + 2) / (2 * sig + 2)
     return kin - pot
@@ -182,7 +202,8 @@ def _wave_spectrum(cfg: SimConfig) -> np.ndarray:
     refines, and makes the split-step drift a pure splitting error.
     """
     om, sig = cfg.params.omega, cfg.params.sigma
-    s_disc = discrete_moment(1, cfg.symbol + om, cfg.grid)
+    s_disc = discrete_moment(1, cfg.grid.half_symbol(cfg.params.s) + om,
+                             cfg.grid)
     amp = s_disc ** (-(2 * sig + 1) / (2 * sig))
     return amp * _greens_spectrum(cfg, om)
 
@@ -227,16 +248,17 @@ def init_state(cfg: SimConfig, phi=None) -> SimState:
 
 
 def step(state: SimState, cfg: SimConfig) -> SimState:
-    """One Strang step on the spectrum: half phase, rank-one kick, half phase."""
-    v = cfg.half_phase * state.spectrum
-    q = centre_value(v, cfg)
+    """One Strang step on the spectrum (half phase, rank-one kick, half
+    phase) as v <- P^2 v + q (e^{i theta} - 1) P (-1)^k."""
+    v = state.spectrum
+    q = complex(np.dot(cfg.kick_row, v)) / cfg.modes
     # both substeps are isometries (max|u| <= sqrt(mass/h) for all time);
     # only an overflowing kick phase |u_j0|^{2 sigma} can spoil the field
     theta = _power(abs(q), 2.0 * cfg.params.sigma) * cfg.dt / cfg.h
     if not math.isfinite(theta):
         raise BlowUp(state.t + cfg.dt)
-    v += (q * (cmath.exp(1j * theta) - 1.0)) * cfg.centre_sign
-    v *= cfg.half_phase
+    v = cfg.phase * v
+    v += (q * (cmath.exp(1j * theta) - 1.0)) * cfg.kick_row
     return SimState(state.t + cfg.dt, v)
 
 

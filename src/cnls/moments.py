@@ -9,7 +9,10 @@ On a periodic grid the same moments are sums, S_j = (1/2L) sum_k d_k^{-j}
 with d_k = |2 pi xi_k|^{2s} + omega, and they converge to M_j as the grid
 refines.  Every grid computation of the package (the discretized spectrum
 oracles, the Petviashvili solve, the simulator) reads its symbol from one
-FourierGrid and its sums from discrete_moment.
+FourierGrid.  The symbol is even in k, so every grid sum runs over the
+M/2 + 1 values of `half_symbol` with weights 1, 2, ..., 2, 1
+(grid_sum, discrete_moment); the matrices and the FFT-based
+solvers read every mode from `symbol`.
 """
 
 from __future__ import annotations
@@ -104,10 +107,14 @@ def moment_quadrature(j: float, params: PhysParams) -> float:
 
 @dataclass(frozen=True)
 class FourierGrid:
-    """Periodic Fourier grid: domain [-L, L), M modes, spacing h = 2L/M and
-    a grid delta of weight 1/h at the x = 0 node."""
+    """Periodic Fourier grid: domain [-L, L), an even number M of modes,
+    spacing h = 2L/M and a grid delta of weight 1/h at the x = 0 node."""
     half_length: float
     modes: int
+
+    def __post_init__(self):
+        if self.modes < 2 or self.modes % 2:
+            raise DomainError(f"modes must be even and >= 2, got {self.modes}")
 
     @property
     def h(self) -> float:
@@ -118,8 +125,35 @@ class FourierGrid:
         xi = np.fft.fftfreq(self.modes, d=self.h)
         return (2.0 * math.pi * np.abs(xi)) ** (2.0 * s)
 
+    def half_symbol(self, s: float) -> np.ndarray:
+        """The symbol on k = 0..M/2 only, the same values as `symbol` there.
+
+        The symbol is even in k, so these are all of its values: the modes
+        +k and -k share one entry, and only k = 0 and k = M/2 are single."""
+        sym = np.arange(self.modes // 2 + 1, dtype=float)
+        sym *= 1.0 / (self.modes * self.h)  # xi_k, as fftfreq forms it
+        sym *= 2.0 * math.pi
+        sym **= 2.0 * s
+        return sym
+
+
+def grid_sum(r: np.ndarray, grid: FourierGrid,
+             x: np.ndarray | None = None) -> float:
+    """(1/2L) sum_k r_k (or x_k r_k) over all M modes of the grid, from
+    even sequences r and x given on the half spectrum k = 0..M/2: the
+    weights are 1, 2, ..., 2, 1."""
+    if r.shape != (grid.modes // 2 + 1,):
+        raise DomainError(f"expected the {grid.modes // 2 + 1} half-spectrum "
+                          f"values of a {grid.modes}-mode grid, got shape "
+                          f"{r.shape}")
+    if x is None:
+        total = r[0] + r[-1] + 2.0 * np.sum(r[1:-1])
+    else:
+        total = x[0] * r[0] + x[-1] * r[-1] + 2.0 * np.dot(x[1:-1], r[1:-1])
+    return float(total) / (2.0 * grid.half_length)
+
 
 def discrete_moment(j: int, d: np.ndarray, grid: FourierGrid) -> float:
     """S_j = (1/2L) sum_k d_k^{-j}, the grid analogue of M_j for the
-    diagonal d = symbol + omega."""
-    return float(np.sum(1.0 / d ** j)) / (2.0 * grid.half_length)
+    diagonal d = half_symbol + omega on the half spectrum k = 0..M/2."""
+    return grid_sum(1.0 / d ** j, grid)

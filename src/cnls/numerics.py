@@ -90,31 +90,44 @@ def integrate_halfline(f, rel_tol: float):
     The double-exponential substitution y = exp((pi/2) sinh t) makes both an
     algebraic tail at infinity and a non-smooth power at 0 decay doubly
     exponentially in t.  The step halves from HALFLINE_STEP until two sums
-    agree to rel_tol; returns (value, |S_h - S_2h|).  A non-finite term (an
+    agree to rel_tol; returns (value, |S_h - S_2h|).  The nodes of step 2h
+    are the even nodes of step h, so each halving evaluates f only on the
+    new odd nodes and S_h = S_2h/2 + h sum_new.  A non-finite term (an
     overflow far out, where the exact term is below the float range) counts
-    as 0.  If the outermost non-zero term on either side still exceeds
-    rel_tol |sum|, the integrand has not decayed inside the window (its tail
-    is too slow, or it overflowed to 0 first) and NonConvergence is raised.
+    as 0.  If the outermost non-zero term of a step's nodes on either side
+    still exceeds rel_tol |sum|, the integrand has not decayed inside the
+    window (its tail is too slow, or it overflowed to 0 first) and
+    NonConvergence is raised.
     """
-    def exp_sinh_sum(h):
-        y, w = expsinh_nodes(h, HALFLINE_T_MAX)
+    def terms(t):
+        # f(y) dy/dt at the nodes t, without the step h
+        y = np.exp(0.5 * math.pi * np.sinh(t))
         with np.errstate(all="ignore"):
-            terms = np.asarray(f(y), dtype=float) * w
-        terms = np.where(np.isfinite(terms), terms, 0.0)
-        total = float(np.sum(terms))
-        nonzero = terms[terms != 0.0]
-        if nonzero.size and max(abs(nonzero[0]),
-                                abs(nonzero[-1])) > rel_tol * abs(total):
+            g = np.asarray(f(y), dtype=float) * (0.5 * math.pi * np.cosh(t) * y)
+        return np.where(np.isfinite(g), g, 0.0)
+
+    def check_decay(g, h, total):
+        nonzero = g[g != 0.0]
+        if nonzero.size and h * max(abs(nonzero[0]), abs(nonzero[-1])) \
+                > rel_tol * abs(total):
             raise NonConvergence(
                 "integrand has not decayed at the ends of the exp-sinh window "
                 "(tail too slow, or overflow before decay)")
-        return total
 
     h = HALFLINE_STEP
-    prev = exp_sinh_sum(h)
+    n = math.ceil(HALFLINE_T_MAX / h)  # nodes t = k h, |k| <= n
+    g = terms(h * np.arange(-n, n + 1))
+    prev = h * float(np.sum(g))
+    check_decay(g, h, prev)
     for _ in range(MAX_HALVINGS):
         h *= 0.5
-        value = exp_sinh_sum(h)
+        n *= 2
+        new = terms(h * np.arange(1 - n, n, 2))  # the odd k
+        value = 0.5 * prev + h * float(np.sum(new))
+        merged = np.empty(2 * n + 1)
+        merged[0::2], merged[1::2] = g, new
+        g = merged
+        check_decay(g, h, value)
         err = abs(value - prev)
         if err <= rel_tol * abs(value):
             return value, err

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .moments import (FourierGrid, PhysParams, discrete_moment, moment_closed,
-                      sphere_area)
+from .moments import (FourierGrid, PhysParams, discrete_moment, grid_sum,
+                      moment_closed, sphere_area)
 from .numerics import (Bracket, DomainError, GridTooCoarse, NonConvergence,
                        NotApplicable, RootSearchInconclusive, find_root,
                        integrate_halfline)
@@ -219,7 +219,7 @@ def secular_eigenvalues(mu: float, params: PhysParams,
     """Lowest eigenvalue of the discretized L_mu = diag(d_k) - (mu/2L) 11^T:
     the root of mu S_1(d - lam) = 1 below the whole diagonal, whose lowest
     entry is d_0 = omega."""
-    d = grid.symbol(params.s) + params.omega
+    d = grid.half_symbol(params.s) + params.omega
     om = params.omega
 
     def secular(lam):
@@ -234,13 +234,15 @@ def secular_eigenvalues(mu: float, params: PhysParams,
 def discrete_eigen_determinant(lam: float, params: PhysParams, d: np.ndarray,
                                grid: FourierGrid) -> float:
     """Exact characteristic function of the discretized JL problem for the
-    modes coupled to the delta node, on the diagonal d = symbol + omega: the
-    grid sums s_m + i s_l = S_1(d - i lam) replace the integrals."""
-    w2 = 1.0 / (2.0 * grid.half_length)
-    denom = d * d + lam * lam
-    s_m = w2 * float(np.sum(d / denom))
-    s_l = lam * w2 * float(np.sum(1.0 / denom))
-    return _characteristic(s_m, s_l, params)
+    modes coupled to the delta node, on the diagonal d = half_symbol + omega
+    of the half spectrum: the grid sums s_m + i s_l = S_1(d - i lam), with
+    s_m = (1/2L) sum d r and s_l = (lam/2L) sum r for r = 1/(d^2 + lam^2),
+    replace the integrals."""
+    r = d * d
+    r += lam * lam
+    np.reciprocal(r, out=r)
+    return _characteristic(grid_sum(r, grid, d), lam * grid_sum(r, grid),
+                           params)
 
 
 def oracle_unstable_eigenvalue(params: PhysParams, near: float) -> float:
@@ -256,7 +258,8 @@ def oracle_unstable_eigenvalue(params: PhysParams, near: float) -> float:
     """
     grid = FourierGrid(half_length=30.0 * params.omega ** (-1.0 / (2 * params.s)),
                        modes=1 << 22)
-    d = grid.symbol(params.s) + params.omega
+    d = grid.half_symbol(params.s)
+    d += params.omega
     D = lambda lam: discrete_eigen_determinant(lam, params, d, grid)
     lo, hi = near * (1.0 - ORACLE_ROOT_RTOL), near * (1.0 + ORACLE_ROOT_RTOL)
     d_lo, d_hi = D(lo), D(hi)
@@ -308,14 +311,15 @@ def coercivity_gap(params: PhysParams) -> float:
     is 1 - (b/2L) (1^T v)^2 / (v^T diag(d) v), and the largest second term
     over v perpendicular to 1/d is b (S_1 - S_2^2/S_3).  The energy norm is
     the H^s norm at omega = 1, and the gap does not depend on omega.  Only
-    defined in the stable regime."""
+    defined in the stable regime.  As the grid refines, the gap tends to
+    the closed kappa = 2a(sigma* - sigma)/(2 - a), a = n/(2s)."""
     regime = stability_regime(params)
     if regime != "stable":
         raise NotApplicable(f"coercivity gap requires the stable regime, "
                             f"not {regime}")
     grid = FourierGrid(half_length=15.0 * params.omega ** (-1.0 / (2 * params.s)),
                        modes=1024)
-    d = grid.symbol(params.s) + params.omega
+    d = grid.half_symbol(params.s) + params.omega
     s1, s2, s3 = (discrete_moment(j, d, grid) for j in (1, 2, 3))
     b = (2 * params.sigma + 1) * sobolev_constant(params)
     return 1.0 - b * (s1 - s2 * s2 / s3)

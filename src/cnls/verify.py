@@ -7,8 +7,8 @@ compares at a stated tolerance.  One CheckResult per claim.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -49,6 +49,7 @@ class CheckResult:
     name: str
     passed: bool
     detail: str
+    seconds: float | None = None  # wall time of the check, set by run_all
 
 
 def _result(name, passed, detail):
@@ -275,7 +276,9 @@ ALL_CHECKS = (
 
 
 def _run(check) -> CheckResult:
-    return check()
+    start = time.perf_counter()
+    result = check()
+    return replace(result, seconds=time.perf_counter() - start)
 
 
 def run_all(jobs: int = 1) -> list[CheckResult]:

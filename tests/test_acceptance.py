@@ -6,6 +6,7 @@ claim.  The slow half of 9 (long stable run, unstable growth rate) and the
 wiring of the `verify` command (10) run only in this file.
 """
 
+import json
 import math
 
 import numpy as np
@@ -74,3 +75,17 @@ class TestVerifyCommand:
                                              "FAIL stub-fail: off by one"]
         assert "stub-fail" in captured.err
         assert "stub-pass" not in captured.err
+
+    def test_manifest_lists_each_check_time(self, capsys, monkeypatch,
+                                            tmp_path):
+        # the times go to the manifest only; stdout keeps its lines
+        monkeypatch.setattr(verify, "ALL_CHECKS",
+                            (_passing_stub, _failing_stub))
+        assert main(["verify", "--jobs", "1", "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().out == \
+            "PASS stub-pass: ok\nFAIL stub-fail: off by one\n"
+        summary = json.loads((tmp_path / "manifest.json").read_text())["summary"]
+        seconds = summary["seconds"]
+        assert list(seconds) == ["stub-pass", "stub-fail"]
+        assert all(0.0 <= t < 1.0 for t in seconds.values())
+        assert [r.seconds is not None for r in verify.run_all()] == [True] * 2

@@ -157,6 +157,40 @@ class TestStep:
             assert np.max(np.abs(st.field - u)) < bound
             del cfg, st
 
+    @pytest.mark.parametrize("kw", [
+        # the two configs of the benchmark's `simulate` runs
+        dict(sigma=0.5, modes=1024, dt=5e-4, eps=1.5e-3, shape="greens-bump"),
+        dict(sigma=2.0, modes=2048, dt=2e-4, eps=1e-4, shape="noise",
+             seed=12345),
+    ])
+    def test_fused_step_is_the_three_stage_strang_step(self, kw):
+        # oracle: half phase, rank-one kick at the centre node, half phase,
+        # as three stages on the spectrum
+        cfg = SimConfig(half_length=40.0, t_final=1.0, **kw)
+        half = np.exp(-1j * cfg.symbol * cfg.dt / 2.0)
+        sign = np.where(np.arange(cfg.modes) % 2 == 0, 1.0, -1.0)
+        st = init_state(cfg)
+        v = st.spectrum.copy()
+        for _ in range(2000):
+            st = step(st, cfg)
+            v = half * v
+            q = np.dot(sign, v) / cfg.modes
+            theta = abs(q) ** (2.0 * cfg.sigma) * cfg.dt / cfg.h
+            v = half * (v + q * (np.exp(1j * theta) - 1.0) * sign)
+        assert st.t == pytest.approx(2000 * cfg.dt, rel=1e-12)
+        assert np.linalg.norm(st.spectrum - v) <= 1e-12 * np.linalg.norm(v)
+
+    def test_mass_and_energy_sums(self):
+        # the dot-product sums against sum |v|^2 and sum symbol |v|^2
+        cfg = _cfg(STABLE, eps=0.3, shape="noise", seed=7)
+        v = init_state(cfg).spectrum
+        scale = cfg.h / cfg.modes
+        assert discrete_mass(v, cfg) == pytest.approx(
+            scale * np.sum(np.abs(v) ** 2), rel=1e-14)
+        pot = abs(centre_value(v, cfg)) ** 3 / 3.0
+        assert discrete_energy(v, cfg) + pot == pytest.approx(
+            0.5 * scale * np.sum(cfg.symbol * np.abs(v) ** 2), rel=1e-14)
+
     def test_state_is_time_and_field(self):
         # the state is the spectrum; the field is derived from it on demand
         assert [f.name for f in dataclasses.fields(SimState)] == \

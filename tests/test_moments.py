@@ -3,7 +3,9 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cnls.moments import (FourierGrid, PhysParams, discrete_moment,
+import numpy as np
+
+from cnls.moments import (FourierGrid, PhysParams, discrete_moment, grid_sum,
                           moment_closed, moment_printed, moment_quadrature,
                           sphere_area)
 from cnls.numerics import DomainError
@@ -43,10 +45,49 @@ class TestQuadratureOracle:
         # the grid sum S_j approaches M_j as the modes fill in the line
         def rel_err(modes):
             grid = FourierGrid(half_length=60.0, modes=modes)
-            d = grid.symbol(CLASSICAL.s) + CLASSICAL.omega
+            d = grid.half_symbol(CLASSICAL.s) + CLASSICAL.omega
             exact = moment_closed(float(j), CLASSICAL)
             return abs(discrete_moment(j, d, grid) - exact) / exact
         assert rel_err(1 << 18) <= rel_err(1 << 10) / 100.0
+
+
+class TestHalfSpectrum:
+    # every grid sum runs over k = 0..M/2 of the even symbol; the sums over
+    # all M modes of the full FFT-order symbol are their oracle
+    @pytest.mark.parametrize("modes", [2, 8, 512, 4096])
+    @pytest.mark.parametrize("s", [0.6, 1.0, 2.5])
+    def test_half_symbol_is_the_symbol_on_k_up_to_m_over_2(self, modes, s):
+        grid = FourierGrid(half_length=7.5, modes=modes)
+        full = grid.symbol(s)
+        half = grid.half_symbol(s)
+        assert np.array_equal(half, full[:modes // 2 + 1])
+        # each value but k = 0 and k = M/2 appears twice in the full symbol
+        assert np.array_equal(np.sort(full),
+                              np.sort(np.concatenate([half, half[1:-1]])))
+
+    @pytest.mark.parametrize("modes", [2, 8, 512, 4096])
+    @pytest.mark.parametrize("s", [0.6, 1.0, 2.5])
+    @pytest.mark.parametrize("j", [1, 2, 3])
+    def test_discrete_moment_equals_full_spectrum_sum(self, modes, s, j):
+        p = PhysParams(n=1, s=s, omega=0.7, sigma=1.0)
+        grid = FourierGrid(half_length=7.5, modes=modes)
+        full = float(np.sum(1.0 / (grid.symbol(s) + p.omega) ** j)) \
+            / (2.0 * grid.half_length)
+        half = discrete_moment(j, grid.half_symbol(s) + p.omega, grid)
+        assert half == pytest.approx(full, rel=1e-13, abs=0.0)
+
+    def test_full_spectrum_array_is_rejected(self):
+        # a full FFT-order diagonal would be summed with the wrong weights
+        grid = FourierGrid(half_length=7.5, modes=8)
+        with pytest.raises(DomainError, match="half-spectrum"):
+            discrete_moment(1, grid.symbol(1.0) + 1.0, grid)
+        with pytest.raises(DomainError, match="half-spectrum"):
+            grid_sum(np.ones(4), grid)
+
+    @pytest.mark.parametrize("modes", [0, 1, 7])
+    def test_grid_needs_an_even_mode_count(self, modes):
+        with pytest.raises(DomainError):
+            FourierGrid(half_length=1.0, modes=modes)
 
 
 class TestScalingAndMonotonicity:

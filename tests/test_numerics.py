@@ -6,8 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from cnls import numerics
 from cnls.moments import PhysParams, moment_closed, moment_quadrature
-from cnls.numerics import (Bracket, DomainError, NoSignChange, NonConvergence,
-                           _map_jobs, beta, find_root, integrate_halfline,
+from cnls.numerics import (HALFLINE_STEP, HALFLINE_T_MAX, Bracket, DomainError,
+                           NoSignChange, NonConvergence, _map_jobs, beta,
+                           expsinh_nodes, find_root, integrate_halfline,
                            ln_gamma)
 
 
@@ -27,6 +28,24 @@ class TestIntegrateHalfline:
         f = lambda r: r / (r ** 2 + 1.0) ** 2
         val, _ = integrate_halfline(f, rel_tol=1e-12)
         assert abs(val - 0.5) < 1e-12
+
+    def test_each_node_is_evaluated_once(self):
+        # a halving adds only the odd nodes; the even ones are the nodes of
+        # the step before, and together they are the final step's nodes
+        seen = []
+
+        def f(r):
+            seen.append(r)
+            return np.exp(-r) / np.sqrt(r)
+
+        val, _ = integrate_halfline(f, rel_tol=1e-12)
+        assert val == pytest.approx(math.sqrt(math.pi), rel=1e-14)
+        assert len(seen) >= 3
+        nodes = np.concatenate(seen)
+        h = HALFLINE_STEP / 2 ** (len(seen) - 1)
+        y, w = expsinh_nodes(h, HALFLINE_T_MAX)
+        assert np.array_equal(np.sort(nodes), y)
+        assert val == pytest.approx(float(np.sum(f(y) * w)), rel=1e-15)
 
     def test_bad_decay_rejected(self):
         # the integral diverges: the rule's outermost terms do not decay

@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cnls.moments import FourierGrid, PhysParams, moment_closed
+from cnls.moments import (FourierGrid, PhysParams, discrete_moment,
+                          moment_closed)
 from cnls.numerics import (Bracket, DomainError, NonConvergence,
                            RootSearchInconclusive, find_root)
 from cnls.spectrum import (BoundState, NotApplicable, bound_state,
@@ -246,11 +248,46 @@ class TestDiscretizedOracle:
         dense = jl_dense_eigenvalues(p, grid)
         real_pos = sorted(z.real for z in dense
                           if abs(z.imag) < 1e-8 and z.real > 1e-6)
-        d = grid.symbol(p.s) + p.omega
+        # the dense pencil reads every mode, D the half spectrum k <= M/2
+        d = grid.half_symbol(p.s) + p.omega
         D = lambda lam: discrete_eigen_determinant(lam, p, d, grid)
         root = find_root(D, Bracket(1e-6, 20.0), tol=1e-12)
         assert real_pos, "dense pencil found no real unstable eigenvalue"
         assert min(abs(r - root) for r in real_pos) < 1e-6 * root
+
+    @pytest.mark.parametrize("modes", [2, 8, 512, 4096])
+    @pytest.mark.parametrize("s", [0.6, 1.0, 2.5])
+    def test_half_spectrum_d_equals_full_spectrum_d(self, modes, s):
+        # the characteristic function from sums over all M modes of the
+        # FFT-order symbol, as the oracle summed them before; the two D
+        # agree to 1e-13 of the size of their terms
+        p = PhysParams(n=1, s=s, omega=0.7, sigma=2.0)
+        grid = FourierGrid(half_length=7.5, modes=modes)
+        d_full = grid.symbol(s) + p.omega
+        d_half = grid.half_symbol(s) + p.omega
+        c2 = sobolev_constant(p)
+        a, b = c2, (2 * p.sigma + 1) * c2
+        for lam in (1e-3, 0.5, 3.0, 40.0):
+            denom = d_full * d_full + lam * lam
+            x = float(np.sum(d_full / denom)) / (2.0 * grid.half_length)
+            y = lam * float(np.sum(1.0 / denom)) / (2.0 * grid.half_length)
+            full = (a * x - 1.0) * (b * x - 1.0) + a * b * y * y
+            scale = (a * x + 1.0) * (b * x + 1.0) + a * b * y * y
+            half = discrete_eigen_determinant(lam, p, d_half, grid)
+            assert abs(half - full) <= 1e-13 * scale
+
+    def test_oracle_holds_no_full_spectrum_array(self):
+        # at 2^22 modes the half diagonal is 2^21 + 1 doubles; the oracle
+        # holds at most three such arrays at a time, never one of 2^22
+        p = PhysParams(n=1, s=1.0, omega=1.0, sigma=2.0)
+        near = unstable_eigenvalue(p)
+        tracemalloc.start()
+        try:
+            oracle_unstable_eigenvalue(p, near)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * ((1 << 21) + 1) * 8
 
 
 class TestCoercivity:
@@ -297,6 +334,28 @@ class TestCoercivity:
         # which is the energy norm at omega = 1
         p = PhysParams(n=1, s=1.0, omega=1.0, sigma=sig)
         assert coercivity_gap(p) == pytest.approx(dense, abs=1e-12)
+
+    def test_converges_to_closed_kappa(self):
+        # kappa_M = 1 - b (S_1 - S_2^2/S_3), coercivity_gap's formula, on
+        # finer grids of the same L = 15 tends to the closed
+        # kappa = 2a (sigma* - sigma)/(2 - a): 1/3 at a = 1/2, sigma* = 1,
+        # sigma = 1/2
+        p = PhysParams(n=1, s=1.0, omega=1.0, sigma=0.5)
+        kappa = 2 * p.a * (sigma_critical(p) - p.sigma) / (2 - p.a)
+        assert kappa == pytest.approx(1.0 / 3.0, rel=1e-15)
+        b = (2 * p.sigma + 1) * sobolev_constant(p)
+        errors = []
+        for modes, want in ((1 << 10, 0.34521), (1 << 14, 0.33408),
+                            (1 << 18, 0.33338)):
+            grid = FourierGrid(half_length=15.0, modes=modes)
+            d = grid.half_symbol(p.s) + p.omega
+            s1, s2, s3 = (discrete_moment(j, d, grid) for j in (1, 2, 3))
+            kappa_m = 1.0 - b * (s1 - s2 * s2 / s3)
+            if modes == 1 << 10:
+                assert coercivity_gap(p) == kappa_m
+            assert kappa_m == pytest.approx(want, abs=5e-6)
+            errors.append(abs(kappa_m - kappa))
+        assert errors[0] > errors[1] > errors[2]
 
     @pytest.mark.parametrize("omega", [0.5, 2.0])
     def test_energy_norm_gap_does_not_depend_on_omega(self, omega):
