@@ -15,19 +15,20 @@ import dataclasses
 import datetime
 import json
 import math
+import numbers
 import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
+# The closed-form commands (stability-map, spectrum, pohozaev without
+# --quadrature) run on `math` alone: the modules below import numpy inside
+# the functions that build arrays, and the array-only modules (dynamics,
+# variational, verify) load inside the commands that run them.
 from . import __version__
-from .dynamics import SimConfig, run_experiment
 from .moments import (PhysParams, moment_closed, moment_printed,
                       moment_quadrature)
 from .numerics import DomainError, _map_jobs
 from .spectrum import classify
-from .variational import convergence_study
 from .waves import (pohozaev_check, sobolev_constant,
                     sobolev_constant_printed_check, soliton_profile)
 
@@ -37,13 +38,14 @@ def _fmt(x) -> str:
         return ""
     if isinstance(x, str):
         return x
-    if isinstance(x, (bool, int, np.integer)):
+    if isinstance(x, numbers.Integral):
         return str(int(x))
     return f"{float(x):.17g}"
 
 
-def _parse_range(text: str) -> np.ndarray:
-    """Inclusive range `lo:hi:count`."""
+def _parse_range(text: str) -> list[float]:
+    """Inclusive range `lo:hi:count`: the values of numpy's
+    linspace(lo, hi, count), formed by the same float operations."""
     parts = text.split(":")
     if len(parts) != 3:
         raise DomainError(f"range must be lo:hi:count, got {text!r}")
@@ -54,7 +56,16 @@ def _parse_range(text: str) -> np.ndarray:
     if (not (math.isfinite(lo) and math.isfinite(hi)) or count < 1
             or (count == 1 and lo != hi) or hi < lo):
         raise DomainError(f"bad range {text!r}")
-    return np.linspace(lo, hi, count)
+    if count == 1:
+        return [0.0 * (hi - lo) + lo]
+    delta, div = hi - lo, count - 1
+    step = delta / div
+    if step == 0:  # a subnormal step: scale the fraction, not the step
+        values = [i / div * delta + lo for i in range(count)]
+    else:
+        values = [i * step + lo for i in range(count)]
+    values[-1] = hi
+    return values
 
 
 def _params_from(args) -> PhysParams:
@@ -136,7 +147,7 @@ def cmd_profile(args) -> int:
     p = _params_from(args)
     radii = _parse_range(args.r_range)
     if radii[0] != 0.0:
-        radii = np.concatenate([[0.0], radii])
+        radii = [0.0] + radii
     prof = soliton_profile(radii, p)
     rows = [{"r": r, "phi": v} for r, v in zip(prof.radii, prof.values)]
     summary = {"center_value": prof.center_value, "samples": len(rows)}
@@ -187,9 +198,9 @@ def _map_cell(task):
 def cmd_stability_map(args) -> int:
     s_vals = _parse_range(args.s_range)
     sig_vals = _parse_range(args.sigma_range)
-    if np.any(s_vals <= args.n / 2):
+    if any(s <= args.n / 2 for s in s_vals):
         raise DomainError(f"requires s > n/2 = {args.n / 2:g} across the range")
-    tasks = [(args.n, float(s), float(sig), args.omega, args.with_lambda)
+    tasks = [(args.n, s, sig, args.omega, args.with_lambda)
              for s in s_vals for sig in sig_vals]
     rows = _map_jobs(_map_cell, tasks, args.jobs, chunksize=16)
     counts = {}
@@ -202,6 +213,7 @@ def cmd_stability_map(args) -> int:
 
 
 def cmd_variational(args) -> int:
+    from .variational import convergence_study
     try:
         scales = [float(t) for t in args.scales.split(",")]
     except ValueError as e:
@@ -217,12 +229,15 @@ def cmd_variational(args) -> int:
     return 0
 
 
-# a simulate config sets SimConfig's fields, each parsed as its default's type
-_SIM_KEYS = {f.name: type(f.default) for f in dataclasses.fields(SimConfig)}
+def _sim_keys() -> dict:
+    """A simulate config sets SimConfig's fields, each parsed as its
+    default's type."""
+    from .dynamics import SimConfig
+    return {f.name: type(f.default) for f in dataclasses.fields(SimConfig)}
 
 
 def _parse_sim_config(path: str) -> dict:
-    values, set_on = {}, {}
+    keys, values, set_on = _sim_keys(), {}, {}
     try:
         text = Path(path).read_text()
     except OSError as e:
@@ -235,20 +250,23 @@ def _parse_sim_config(path: str) -> dict:
             raise DomainError(f"{path}:{lineno}: expected `key = value`")
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
-        if key not in _SIM_KEYS:
+        if key not in keys:
             raise DomainError(f"{path}:{lineno}: unknown key {key!r}")
         if key in set_on:
             raise DomainError(f"{path}:{lineno}: key {key!r} already set on "
                               f"line {set_on[key]}")
         set_on[key] = lineno
         try:
-            values[key] = _SIM_KEYS[key](val)
+            values[key] = keys[key](val)
         except ValueError:
             raise DomainError(f"{path}:{lineno}: bad value for {key}") from None
     return values
 
 
 def cmd_simulate(args) -> int:
+    import numpy as np
+
+    from .dynamics import SimConfig, run_experiment
     if not args.out:
         raise DomainError("simulate requires --out <dir>")
     cfgv = _parse_sim_config(args.config)

@@ -13,16 +13,21 @@ FourierGrid.  The symbol is even in k, so every grid sum runs over the
 M/2 + 1 values of `half_symbol` with weights 1, 2, ..., 2, 1
 (grid_sum, discrete_moment); the matrices and the FFT-based
 solvers read every mode from `symbol`.
+
+The closed forms need only `math`: the module imports without numpy, which
+loads on the first grid or quadrature call.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .numerics import DomainError, beta, integrate_halfline, ln_gamma
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -122,6 +127,7 @@ class FourierGrid:
 
     def symbol(self, s: float) -> np.ndarray:
         """|2 pi xi_k|^{2s}, the symbol of (-Delta)^s, in FFT order."""
+        import numpy as np
         xi = np.fft.fftfreq(self.modes, d=self.h)
         return (2.0 * math.pi * np.abs(xi)) ** (2.0 * s)
 
@@ -130,6 +136,7 @@ class FourierGrid:
 
         The symbol is even in k, so these are all of its values: the modes
         +k and -k share one entry, and only k = 0 and k = M/2 are single."""
+        import numpy as np
         sym = np.arange(self.modes // 2 + 1, dtype=float)
         sym *= 1.0 / (self.modes * self.h)  # xi_k, as fftfreq forms it
         sym *= 2.0 * math.pi
@@ -142,6 +149,7 @@ def grid_sum(r: np.ndarray, grid: FourierGrid,
     """(1/2L) sum_k r_k (or x_k r_k) over all M modes of the grid, from
     even sequences r and x given on the half spectrum k = 0..M/2: the
     weights are 1, 2, ..., 2, 1."""
+    import numpy as np
     if r.shape != (grid.modes // 2 + 1,):
         raise DomainError(f"expected the {grid.modes // 2 + 1} half-spectrum "
                           f"values of a {grid.modes}-mode grid, got shape "

@@ -7,18 +7,16 @@ Every failure the package raises is a NumericsError.  A DomainError means a
 value from the caller lies outside the model's or the command's range (the
 CLI exits 2); every other failure is numerical (the CLI exits 1).
 
-All routines are pure functions; nothing here holds mutable state.
+All routines are pure functions; nothing here holds mutable state.  The
+module imports without numpy: numpy loads on the first quadrature call, and
+the process pool only when `--jobs` asks for more than one worker.
 """
 
 from __future__ import annotations
 
 import math
-import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-
-import numpy as np
 
 
 class NumericsError(Exception):
@@ -79,6 +77,7 @@ MAX_HALVINGS = 8
 def expsinh_nodes(h: float, t_max: float):
     """Exp-sinh nodes y = exp((pi/2) sinh t) and weights h (pi/2) cosh t y
     on the grid t = k h, |t| <= t_max (rounded up to a whole step)."""
+    import numpy as np
     t = h * np.arange(-math.ceil(t_max / h), math.ceil(t_max / h) + 1)
     y = np.exp(0.5 * math.pi * np.sinh(t))
     return y, h * 0.5 * math.pi * np.cosh(t) * y
@@ -99,6 +98,8 @@ def integrate_halfline(f, rel_tol: float):
     window (its tail is too slow, or it overflowed to 0 first) and
     NonConvergence is raised.
     """
+    import numpy as np
+
     def terms(t):
         # f(y) dy/dt at the nodes t, without the step h
         y = np.exp(0.5 * math.pi * np.sinh(t))
@@ -191,6 +192,8 @@ def _map_jobs(fn, items, jobs: int, chunksize: int = 1) -> list:
     workers = min(jobs, os.cpu_count() or 1)
     if workers == 1:
         return [fn(x) for x in items]
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers,
                              mp_context=multiprocessing.get_context("spawn")
                              ) as pool:

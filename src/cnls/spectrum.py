@@ -3,6 +3,7 @@ operator, the Vakhitov-Kolokolov quantity, stability classification, the
 unstable eigenvalue of the Hamiltonian problem, and a discretized matrix
 oracle.  The production paths are closed forms; the radial quadrature of the
 characteristic function and the discretized matrices are kept as oracles.
+The closed forms need only `math`; numpy loads on the first oracle call.
 
 The delta-well operator L_mu = (-Delta)^s + omega - mu delta_0 has its point
 spectrum governed by the scalar equation mu * M_1(omega +/- lambda) = 1; the
@@ -15,15 +16,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .moments import (FourierGrid, PhysParams, discrete_moment, grid_sum,
                       moment_closed, sphere_area)
-from .numerics import (Bracket, DomainError, GridTooCoarse, NonConvergence,
-                       NotApplicable, RootSearchInconclusive, find_root,
-                       integrate_halfline)
+from .numerics import (Bracket, DomainError, NonConvergence, NotApplicable,
+                       RootSearchInconclusive, find_root, integrate_halfline)
 from .waves import sobolev_constant
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEGENERACY_TOL = 1e-12
 # half-width, relative to the claimed root, of the oracle's sign-change bracket
@@ -238,6 +240,7 @@ def discrete_eigen_determinant(lam: float, params: PhysParams, d: np.ndarray,
     of the half spectrum: the grid sums s_m + i s_l = S_1(d - i lam), with
     s_m = (1/2L) sum d r and s_l = (lam/2L) sum r for r = 1/(d^2 + lam^2),
     replace the integrals."""
+    import numpy as np
     r = d * d
     r += lam * lam
     np.reciprocal(r, out=r)
@@ -274,23 +277,6 @@ def oracle_unstable_eigenvalue(params: PhysParams, near: float) -> float:
     else:
         hi, d_hi = mid, d_mid
     return lo - d_lo * (hi - lo) / (d_hi - d_lo)
-
-
-def jl_dense_eigenvalues(params: PhysParams, grid: FourierGrid) -> np.ndarray:
-    """Spectrum of the discretized JL operator via the quadratic pencil
-    lam^2 v = -(L_+ L_-) v, assembled densely (modest mode counts only)."""
-    if grid.modes > 2048:
-        raise GridTooCoarse("dense JL assembly limited to <= 2048 modes")
-    d = grid.symbol(params.s) + params.omega
-    w2 = 1.0 / (2.0 * grid.half_length)
-    c2 = sobolev_constant(params)
-    a, b = c2, (2 * params.sigma + 1) * c2
-    ones = np.ones_like(d)
-    lm = np.diag(d) - a * w2 * np.outer(ones, ones)
-    lp = np.diag(d) - b * w2 * np.outer(ones, ones)
-    prod = lp @ lm
-    sq = np.linalg.eigvals(prod)
-    return np.emath.sqrt(-sq)
 
 
 def lpm_eigenvalues(params: PhysParams) -> tuple[float, float]:

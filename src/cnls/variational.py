@@ -75,7 +75,13 @@ class VariationalResult:
 def default_solve_grid(params: PhysParams, spec: MollifierSpec) -> FourierGrid:
     L = 40.0 * params.omega ** (-1.0 / (2 * params.s))
     h_target = 1.0 / (16.0 * spec.scale)
-    modes = 1 << int(math.ceil(math.log2(2 * L / h_target)))
+    doublings = math.ceil(math.log2(2 * L / h_target))
+    if doublings < 1:
+        raise DomainError(f"box [-{L:g}, {L:g}] is no wider than the "
+                          f"mollifier grid spacing {h_target:g}: omega "
+                          f"{params.omega:g} is too large for scale "
+                          f"{spec.scale:g}")
+    modes = 1 << doublings
     if modes > MAX_DEFAULT_MODES:
         raise DomainError(f"mollifier scale {spec.scale:g} needs {modes} "
                           f"modes, above the {MAX_DEFAULT_MODES} ceiling")

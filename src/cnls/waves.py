@@ -6,19 +6,22 @@ Pointwise profile values are radial inverse Fourier transforms (n = 1, 2, 3),
 integrated on a ray in the upper half plane where the integrand decays
 without oscillating, plus the residues of the poles the ray passes; every
 norm identity is evaluated in Fourier variables through the moments, so
-those work in any dimension.
+those work in any dimension.  The norm identities need only `math`; numpy
+loads on the first pointwise evaluation.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .moments import PhysParams, moment_closed, moment_quadrature
 from .numerics import (DomainError, UnsupportedDimension, expsinh_nodes,
                        ln_gamma)
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Green's function quadrature: exp-sinh nodes (numerics.expsinh_nodes) on
 # |t| <= NODE_T_MAX with step at most NODE_STEP, on a ray at an angle chosen
@@ -76,6 +79,7 @@ def _ray_angle(alpha: np.ndarray) -> float:
     pole angle alpha.  The largest such angle, not the one farthest from the
     poles: |e^{ikr}| = e^{-|k| r sin theta} on the ray, so the integrand
     decays fastest near pi/2."""
+    import numpy as np
     theta = np.linspace(RAY_MIN_ANGLE, 0.5 * math.pi, RAY_ANGLES)
     dist = np.min(np.abs(theta[:, None] - alpha[None, :]), axis=1)
     return float(np.max(theta[dist >= min(POLE_CLEARANCE, np.max(dist))]))
@@ -97,6 +101,7 @@ def greens_value(r: float, lam: float, params: PhysParams) -> float:
     sweeps (alpha_j < theta) adds 2 pi i Res_j, with
     Res_j = -k_j^{m+1} E(k_j r) / (2 s lam).
     """
+    import numpy as np
     n, s = params.n, params.s
     if n not in (1, 2, 3):
         raise UnsupportedDimension(
@@ -146,6 +151,7 @@ def greens_value(r: float, lam: float, params: PhysParams) -> float:
 
 def soliton_profile(radii, params: PhysParams) -> RadialProfile:
     """Solitary-wave profile phi(r) = G_s^omega(r) / M_1(omega)^{1+1/(2 sigma)}."""
+    import numpy as np
     radii = np.asarray(radii, dtype=float)
     if radii.ndim != 1 or radii.size < 2 or radii[0] != 0.0:
         raise DomainError("radii must be a 1-d ascending grid starting at 0")

@@ -10,9 +10,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 import cnls
-from cnls.cli import (_SIM_KEYS, _parse_range, _parse_sim_config,
+from cnls.cli import (_parse_range, _parse_sim_config, _sim_keys,
                       build_parser, main)
 from cnls.dynamics import SimConfig
 from cnls.numerics import DomainError
@@ -30,7 +31,28 @@ class TestParsing:
         assert np.allclose(vals, [0.0, 0.25, 0.5, 0.75, 1.0])
 
     def test_range_single(self):
-        assert _parse_range("2:2:1").tolist() == [2.0]
+        assert _parse_range("2:2:1") == [2.0]
+
+    @given(lo=st.floats(allow_nan=False, allow_infinity=False),
+           span=st.floats(0.0, allow_nan=False, allow_infinity=False),
+           count=st.integers(1, 400))
+    @example(lo=1.5, span=0.0, count=1)
+    @example(lo=-0.0, span=0.0, count=1)
+    @example(lo=3.0, span=0.0, count=7)                 # lo == hi
+    @example(lo=-7.25, span=3.5, count=5)               # negative ends
+    @example(lo=-1e308, span=1.7e308, count=9)          # huge span
+    @example(lo=-1e308, span=2e308, count=3)            # hi - lo overflows
+    @example(lo=0.0, span=5e-324, count=3)              # subnormal step: 0
+    @example(lo=1e-310, span=3e-323, count=200)         # subnormal step: 0
+    def test_range_is_linspace_bit_for_bit(self, lo, span, count):
+        hi = lo + span
+        if not math.isfinite(hi) or (count == 1 and hi != lo):
+            return
+        with np.errstate(all="ignore"):
+            want = np.linspace(lo, hi, count)
+        got = _parse_range(f"{lo!r}:{hi!r}:{count}")
+        assert type(got) is list
+        assert np.array(got).tobytes() == want.tobytes()
 
     def test_bad_ranges(self):
         for text in ("0:1", "a:1:5", "1:0:5", "0:1:0", "0:inf:3",
@@ -243,6 +265,14 @@ class TestVariationalCmd:
         gaps = [float(l.split(",")[2]) for l in lines[1:]]
         assert gaps[0] > gaps[1] > 0
 
+    def test_box_no_wider_than_spacing_exits_2(self, capsys):
+        # L = 40 omega^{-1/(2s)} is 1.9e-7 here, the spacing 1/64
+        code, _, err = run(["variational", "--omega", "1e10", "--s", "0.6"],
+                           capsys)
+        assert code == 2
+        assert err.startswith("error: box [-1.85664e-07, 1.85664e-07] is no "
+                              "wider than the mollifier grid spacing 0.015625")
+
 
 class TestSimulate:
     def test_writes_series_and_manifest(self, capsys, tmp_path):
@@ -294,7 +324,7 @@ class TestSimulate:
 
     def test_every_simconfig_field_is_a_key(self, tmp_path):
         hints = typing.get_type_hints(SimConfig)
-        assert _SIM_KEYS == {f.name: hints[f.name]
+        assert _sim_keys() == {f.name: hints[f.name]
                              for f in dataclasses.fields(SimConfig)}
         values = {"n": 1, "s": 1.5, "omega": 2.0, "sigma": 0.5,
                   "half_length": 30.0, "modes": 512, "dt": 1e-4,
@@ -326,16 +356,58 @@ class TestSimulate:
                (d2 / "series.csv").read_text()
 
 
+def _python(code: str) -> list[str]:
+    """Run code in a fresh interpreter that imports this checkout's cnls;
+    return its standard output lines."""
+    src = str(Path(cnls.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [e for e in env.get("PYTHONPATH", "").split(os.pathsep) if e])
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    return out.stdout.splitlines()
+
+
 class TestImports:
+    def test_closed_form_commands_leave_numpy_unimported(self, tmp_path):
+        # numpy's import takes longer than a closed-form command's work, so
+        # --help, stability-map, spectrum and pohozaev run on math alone,
+        # and with one job no process pool is loaded
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("modes = 256\nt_final = 0.01\n")
+        code = ("import sys\n"
+                "from cnls.cli import main\n"
+                "HEAVY = ('numpy', 'multiprocessing', 'concurrent.futures')\n"
+                "try:\n"
+                "    main(['--help'])\n"
+                "except SystemExit as e:\n"
+                "    assert e.code == 0\n"
+                "runs = [['stability-map', '--n', str(n), '--jobs', '1',\n"
+                "         '--s-range', f'{n / 2 + 0.2}:{n / 2 + 1.5}:2',\n"
+                "         '--sigma-range', '0.5:3:2', '--with-lambda']\n"
+                "        for n in (1, 2, 3)]\n"
+                "runs += [['spectrum', '--sigma', '2'], ['pohozaev']]\n"
+                "for argv in runs:\n"
+                "    assert main(argv) == 0, argv\n"
+                "print('loaded', [m for m in HEAVY if m in sys.modules])\n"
+                f"runs = [['simulate', '--config', {str(cfg)!r},\n"
+                f"         '--out', {str(tmp_path / 'out')!r}],\n"
+                "        ['constants'], ['variational', '--scales', '4'],\n"
+                "        ['profile', '--r-range', '0:2:3']]\n"
+                "for argv in runs:\n"
+                "    assert main(argv) == 0, argv\n"
+                "print('loaded', 'numpy' in sys.modules)\n")
+        lines = _python(code)
+        # every stability-map has 2 or 3 unstable cells: 8 roots, all > 0
+        unstable = [r.split(",") for r in lines if ",unstable," in r]
+        assert len(unstable) == 8 and all(float(r[-1]) > 0 for r in unstable)
+        assert [r for r in lines if r.startswith("loaded ")] == [
+            "loaded []", "loaded True"]
+
     def test_commands_leave_scipy_unimported(self, tmp_path):
         # scipy.special costs more to import than most commands take to
         # run, so only the n = 2 Green's function may load it (and with it
         # numpy.polynomial, which nothing else loads)
-        src = str(Path(cnls.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [src] + [e for e in env.get("PYTHONPATH", "").split(os.pathsep)
-                     if e])
         cfg = tmp_path / "run.cfg"
         cfg.write_text("sigma = 2\nmodes = 256\nt_final = 0.01\n")
         code = ("import sys\n"
@@ -363,9 +435,7 @@ class TestImports:
                 "assert main(['profile', '--n', '2', '--s', '2',\n"
                 "             '--r-range', '0:2:3']) == 0\n"
                 "print('loaded', 'scipy.special' in scipy())\n")
-        out = subprocess.run([sys.executable, "-c", code], env=env,
-                             capture_output=True, text=True, check=True)
-        lines = out.stdout.splitlines()
+        lines = _python(code)
         unstable = [r.split(",") for r in lines if ",unstable," in r]
         assert len(unstable) == 2 and all(float(r[-1]) > 0 for r in unstable)
         assert [r for r in lines if r.startswith("loaded ")] == [

@@ -12,7 +12,7 @@ import pkgutil
 import pytest
 
 import cnls
-from cnls import numerics, spectrum, variational
+from cnls import numerics, variational
 from cnls.cli import main
 
 
@@ -38,7 +38,7 @@ def test_each_exception_name_has_one_definition():
                     and obj.__module__.startswith("cnls"):
                 by_name.setdefault(name, set()).add(obj)
     assert all(len(objs) == 1 for objs in by_name.values()), by_name
-    assert variational.GridTooCoarse is spectrum.GridTooCoarse
+    assert variational.GridTooCoarse is numerics.GridTooCoarse
     assert variational.NonConvergence is numerics.NonConvergence
 
 

@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 
 import numpy as np
@@ -191,7 +192,8 @@ class TestMapJobs:
     @pytest.fixture
     def two_cpus(self, monkeypatch):
         monkeypatch.setattr(numerics.os, "cpu_count", lambda: 2)
-        monkeypatch.setattr(numerics, "ProcessPoolExecutor", _FakePool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            _FakePool)
         _FakePool.made.clear()
         return _FakePool.made
 

@@ -12,7 +12,7 @@ from cnls.numerics import (Bracket, DomainError, NonConvergence,
 from cnls.spectrum import (BoundState, NotApplicable, bound_state,
                            classify, coercivity_gap, default_grid,
                            discrete_eigen_determinant, eigen_determinant,
-                           jl_dense_eigenvalues, lpm_eigenvalues,
+                           lpm_eigenvalues,
                            oracle_eigen_determinant,
                            oracle_unstable_eigenvalue, secular_eigenvalues,
                            sigma_critical, unstable_eigenvalue, vk_quantity)
@@ -215,6 +215,20 @@ class TestClosedFormOracles:
         assert oracle_eigen_determinant(1.1 * lam, p) > 0
 
 
+def _jl_dense_eigenvalues(params, grid):
+    """Spectrum of the discretized JL operator via the quadratic pencil
+    lam^2 v = -(L_+ L_-) v, assembled densely (modest mode counts only)."""
+    d = grid.symbol(params.s) + params.omega
+    w2 = 1.0 / (2.0 * grid.half_length)
+    c2 = sobolev_constant(params)
+    a, b = c2, (2 * params.sigma + 1) * c2
+    ones = np.ones_like(d)
+    lm = np.diag(d) - a * w2 * np.outer(ones, ones)
+    lp = np.diag(d) - b * w2 * np.outer(ones, ones)
+    sq = np.linalg.eigvals(lp @ lm)
+    return np.emath.sqrt(-sq)
+
+
 class TestDiscretizedOracle:
     def test_secular_lowest_matches_semi_analytic(self):
         grid = default_grid(CLASSICAL)
@@ -245,7 +259,7 @@ class TestDiscretizedOracle:
         # real eigenvalue
         p = PhysParams(n=1, s=1.0, omega=1.0, sigma=2.0)
         grid = FourierGrid(half_length=15.0, modes=512)
-        dense = jl_dense_eigenvalues(p, grid)
+        dense = _jl_dense_eigenvalues(p, grid)
         real_pos = sorted(z.real for z in dense
                           if abs(z.imag) < 1e-8 and z.real > 1e-6)
         # the dense pencil reads every mode, D the half spectrum k <= M/2

@@ -1,3 +1,5 @@
+import concurrent.futures
+
 import numpy as np
 import pytest
 
@@ -70,7 +72,8 @@ class TestPetviashvili:
     def test_study_jobs_keep_rows(self, monkeypatch):
         # two workers on two CPUs, mapped in this process by the stand-in
         monkeypatch.setattr(numerics.os, "cpu_count", lambda: 2)
-        monkeypatch.setattr(numerics, "ProcessPoolExecutor", _FakePool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            _FakePool)
         _FakePool.made.clear()
         serial = convergence_study(CLASSICAL, (4, 8))
         assert convergence_study(CLASSICAL, (4, 8), jobs=2) == serial
