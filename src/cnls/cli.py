@@ -21,13 +21,13 @@ import time
 from pathlib import Path
 
 # The closed-form commands (stability-map, spectrum, pohozaev without
-# --quadrature) run on `math` alone: the modules below import numpy inside
-# the functions that build arrays, and the array-only modules (dynamics,
-# variational, verify) load inside the commands that run them.
+# --quadrature) and profile run on `math` alone: the modules below import
+# numpy inside the functions that build arrays, and the array-only modules
+# (dynamics, variational, verify) load inside the commands that run them.
 from . import __version__
 from .moments import (PhysParams, moment_closed, moment_printed,
                       moment_quadrature)
-from .numerics import DomainError, _map_jobs
+from .numerics import DomainError, _linspace, _map_jobs
 from .spectrum import classify
 from .waves import (pohozaev_check, sobolev_constant,
                     sobolev_constant_printed_check, soliton_profile)
@@ -45,7 +45,9 @@ def _fmt(x) -> str:
 
 def _parse_range(text: str) -> list[float]:
     """Inclusive range `lo:hi:count`: the values of numpy's
-    linspace(lo, hi, count), formed by the same float operations."""
+    linspace(lo, hi, count), formed by the same float operations.  A span
+    hi - lo beyond the float range is rejected, not spread into inf and
+    NaN values."""
     parts = text.split(":")
     if len(parts) != 3:
         raise DomainError(f"range must be lo:hi:count, got {text!r}")
@@ -56,16 +58,9 @@ def _parse_range(text: str) -> list[float]:
     if (not (math.isfinite(lo) and math.isfinite(hi)) or count < 1
             or (count == 1 and lo != hi) or hi < lo):
         raise DomainError(f"bad range {text!r}")
-    if count == 1:
-        return [0.0 * (hi - lo) + lo]
-    delta, div = hi - lo, count - 1
-    step = delta / div
-    if step == 0:  # a subnormal step: scale the fraction, not the step
-        values = [i / div * delta + lo for i in range(count)]
-    else:
-        values = [i * step + lo for i in range(count)]
-    values[-1] = hi
-    return values
+    if not math.isfinite(hi - lo):
+        raise DomainError(f"bad range {text!r}: the span hi - lo overflows")
+    return _linspace(lo, hi, count)
 
 
 def _params_from(args) -> PhysParams:

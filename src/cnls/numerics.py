@@ -1,7 +1,8 @@
 """Self-contained numerical primitives: half-line quadrature by the exp-sinh
 rule (the package's one half-line integrator), log-Gamma/Beta, root finding
-by bisection of a sign-changing bracket (the package's one root finder), the
-`--jobs` process map, and the package's one exception hierarchy.
+by bisection of a sign-changing bracket (the package's one root finder),
+numpy's linspace in plain Python, the `--jobs` process map, and the
+package's one exception hierarchy.
 
 Every failure the package raises is a NumericsError.  A DomainError means a
 value from the caller lies outside the model's or the command's range (the
@@ -72,15 +73,6 @@ class Bracket:
 HALFLINE_T_MAX = 6.5
 HALFLINE_STEP = 1.0 / 8.0
 MAX_HALVINGS = 8
-
-
-def expsinh_nodes(h: float, t_max: float):
-    """Exp-sinh nodes y = exp((pi/2) sinh t) and weights h (pi/2) cosh t y
-    on the grid t = k h, |t| <= t_max (rounded up to a whole step)."""
-    import numpy as np
-    t = h * np.arange(-math.ceil(t_max / h), math.ceil(t_max / h) + 1)
-    y = np.exp(0.5 * math.pi * np.sinh(t))
-    return y, h * 0.5 * math.pi * np.cosh(t) * y
 
 
 def integrate_halfline(f, rel_tol: float):
@@ -181,6 +173,21 @@ def find_root(f, bracket: Bracket, tol: float = 1e-13) -> float:
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def _linspace(lo: float, hi: float, count: int) -> list[float]:
+    """The values of numpy's linspace(lo, hi, count), formed by the same
+    float operations, for count >= 1."""
+    if count == 1:
+        return [0.0 * (hi - lo) + lo]
+    delta, div = hi - lo, count - 1
+    step = delta / div
+    if step == 0:  # a subnormal step: scale the fraction, not the step
+        values = [i / div * delta + lo for i in range(count)]
+    else:
+        values = [i * step + lo for i in range(count)]
+    values[-1] = hi
+    return values
 
 
 def _map_jobs(fn, items, jobs: int, chunksize: int = 1) -> list:

@@ -9,8 +9,15 @@ from cnls import numerics
 from cnls.moments import PhysParams, moment_closed, moment_quadrature
 from cnls.numerics import (HALFLINE_STEP, HALFLINE_T_MAX, Bracket, DomainError,
                            NoSignChange, NonConvergence, _map_jobs, beta,
-                           expsinh_nodes, find_root, integrate_halfline,
-                           ln_gamma)
+                           find_root, integrate_halfline, ln_gamma)
+
+
+def expsinh_nodes(h: float, t_max: float):
+    """Exp-sinh nodes y = exp((pi/2) sinh t) and weights h (pi/2) cosh t y
+    on the grid t = k h, |t| <= t_max (rounded up to a whole step)."""
+    t = h * np.arange(-math.ceil(t_max / h), math.ceil(t_max / h) + 1)
+    y = np.exp(0.5 * math.pi * np.sinh(t))
+    return y, h * 0.5 * math.pi * np.cosh(t) * y
 
 
 class TestIntegrateHalfline:

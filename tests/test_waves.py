@@ -4,13 +4,13 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.special import kei
+from scipy.special import hankel1e, kei
 
 from cnls.moments import PhysParams, moment_closed
 from cnls.numerics import DomainError
-from cnls.waves import (UnsupportedDimension, greens_value, pohozaev_check,
-                        sobolev_constant, sobolev_constant_printed_check,
-                        soliton_profile)
+from cnls.waves import (UnsupportedDimension, _hankel0e, _ray_rule,
+                        greens_value, pohozaev_check, sobolev_constant,
+                        sobolev_constant_printed_check, soliton_profile)
 
 CLASSICAL = PhysParams(n=1, s=1.0, omega=1.0, sigma=1.0)
 
@@ -97,6 +97,49 @@ class TestGreensFunction:
                 near = greens_value(1e-6, lam, p)
             assert abs(near - m1) < 1e-3 * m1
 
+    @pytest.mark.parametrize("s,lam,r,exact", [
+        # 30-digit mpmath, the snippet above with the sinc form
+        # k^2 sin(kr)/(kr) summed over [0, 1e6] and quadosc beyond
+        (1.8, 0.9, 1e-6, 0.089968495163131614893),
+        (3.0, 0.95, 1e-3, 0.027214912125399478391),
+        (3.0, 0.95, 0.05, 0.027193038131376916984),
+    ])
+    def test_n3_near_center_digits(self, s, lam, r, exact):
+        # G(r) - G(0) is O(r^2) while the ray's terms are O(1): the sum must
+        # not leave their rounding, divided by r, in the value
+        p = PhysParams(n=3, s=s, omega=1.0, sigma=1.0)
+        assert abs(greens_value(r, lam, p) - exact) < 1e-13 * exact
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_extreme_radius_is_zero(self, n):
+        # every term has decayed below the float range; none may overflow,
+        # nor the n = 3 factor 1/(2 pi^2 r)
+        p = PhysParams(n=n, s=1.0 + n, omega=1.0, sigma=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert greens_value(1e308, 1.0, p) == 0.0
+            assert greens_value(math.inf, 1.0, p) == 0.0
+            assert soliton_profile([0.0, 1e308], p).values[1] == 0.0
+
+    def test_rule_cache_keeps_values(self):
+        # the rule depends on (n, s, lam) alone: revisiting a pair after
+        # others gives the first value to the bit, and the cache stays
+        # bounded; 36 rules cycled through more than the cache holds are
+        # each rebuilt on every sweep
+        pairs = [(s, lam) for s in (1.3, 2.0, 2.7, 3.4)
+                 for lam in (0.5, 1.0, 4.0)]
+        radii = (0.3, 2.0)
+        first = {}
+        for sweep in range(3):
+            for s, lam in pairs[sweep:] + pairs[:sweep]:
+                for n in (1, 2, 3):
+                    p = PhysParams(n=n, s=s + n / 2, omega=1.0, sigma=1.0)
+                    got = [greens_value(r, lam, p) for r in radii]
+                    assert first.setdefault((n, s, lam), got) == got
+        assert len(first) == 36
+        info = _ray_rule.cache_info()
+        assert info.maxsize < 36 and info.currsize <= info.maxsize
+
     def test_unsupported_dimension(self):
         p = PhysParams(n=4, s=3.0, omega=1.0, sigma=1.0)
         with pytest.raises(UnsupportedDimension):
@@ -107,6 +150,21 @@ class TestGreensFunction:
             greens_value(-1.0, 1.0, CLASSICAL)
         with pytest.raises(DomainError):
             greens_value(1.0, -2.0, CLASSICAL)
+
+
+class TestHankelKernel:
+    @pytest.mark.parametrize("theta", [0.05, 0.35, 0.9, 1.45, math.pi / 2])
+    def test_against_scipy(self, theta):
+        # every regime and both regime edges, on the rays greens_value uses:
+        # the node rays lie in [0.35, pi/2], the pole rays below as well
+        sizes = np.logspace(-12, 8, 401)
+        sizes = np.concatenate([sizes, [2.0 - 1e-12, 2.0, 25.0 - 1e-12, 25.0]])
+        want = hankel1e(0, sizes * np.exp(1j * theta))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = np.array([_hankel0e(complex(z)) for z in
+                            sizes * np.exp(1j * theta)])
+        assert np.max(np.abs(got - want) / np.abs(want)) < 1e-13
 
 
 class TestSolitonProfile:
