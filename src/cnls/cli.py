@@ -11,7 +11,6 @@ writes a manifest.json next to its data.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import datetime
 import json
 import math
@@ -22,15 +21,25 @@ from pathlib import Path
 
 # The closed-form commands (stability-map, spectrum, pohozaev without
 # --quadrature) and profile run on `math` alone: the modules below import
-# numpy inside the functions that build arrays, and the array-only modules
-# (dynamics, variational, verify) load inside the commands that run them.
+# numpy inside the functions that build arrays.  Each command imports the
+# layers it runs: spectrum and waves load inside the commands that use
+# them, and the array-only modules (dynamics, variational, verify) inside
+# the commands that run them.  None of the records of moments, spectrum and
+# waves is a dataclass, so only simulate, variational and verify load
+# `dataclasses`.
 from . import __version__
 from .moments import (PhysParams, moment_closed, moment_printed,
-                      moment_quadrature)
+                      moment_quadrature, sobolev_constant)
 from .numerics import DomainError, _linspace, _map_jobs
-from .spectrum import classify
-from .waves import (pohozaev_check, sobolev_constant,
-                    sobolev_constant_printed_check, soliton_profile)
+
+
+def __getattr__(name):
+    # `cnls.cli.classify` is still read as an attribute (the tracer test in
+    # bench/), so it resolves on first access (PEP 562)
+    if name != "classify":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from .spectrum import classify
+    return classify
 
 
 def _fmt(x) -> str:
@@ -61,6 +70,12 @@ def _parse_range(text: str) -> list[float]:
     if not math.isfinite(hi - lo):
         raise DomainError(f"bad range {text!r}: the span hi - lo overflows")
     return _linspace(lo, hi, count)
+
+
+def _asdict(record) -> dict:
+    """A NamedTuple record as a dict, with each nested record a dict too."""
+    return {k: _asdict(v) if hasattr(v, "_asdict") else v
+            for k, v in record._asdict().items()}
 
 
 def _params_from(args) -> PhysParams:
@@ -116,6 +131,7 @@ def _emit(args, command: str, rows: list[dict], header: list[str],
 # ---------------------------------------------------------------------------
 
 def cmd_constants(args) -> int:
+    from .waves import sobolev_constant_printed_check
     p = _params_from(args)
     closed = [moment_closed(j, p) for j in (1.0, 2.0, 3.0)]
     quad = [moment_quadrature(j, p) for j in (1.0, 2.0, 3.0)]
@@ -139,6 +155,7 @@ def cmd_constants(args) -> int:
 
 
 def cmd_profile(args) -> int:
+    from .waves import soliton_profile
     p = _params_from(args)
     radii = _parse_range(args.r_range)
     if radii[0] != 0.0:
@@ -152,10 +169,10 @@ def cmd_profile(args) -> int:
 
 
 def cmd_pohozaev(args) -> int:
+    from .waves import pohozaev_check
     p = _params_from(args)
     rep = pohozaev_check(p, use_quadrature=args.quadrature)
-    rows = [{"quantity": k, "value": v}
-            for k, v in dataclasses.asdict(rep).items()]
+    rows = [{"quantity": k, "value": v} for k, v in rep._asdict().items()]
     worst = max(rep.residual_mass_identity, rep.residual_seminorm_identity,
                 rep.residual_energy_identity)
     summary = {"worst_residual": worst}
@@ -165,9 +182,10 @@ def cmd_pohozaev(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
+    from .spectrum import classify
     p = _params_from(args)
     rep = classify(p, want_unstable_lambda=not args.no_lambda)
-    obj = dataclasses.asdict(rep)
+    obj = _asdict(rep)
     summary = {"classification": rep.classification}
     if args.format == "csv":
         rows = [{"field": k, "value": v} for k, v in obj.items()
@@ -182,6 +200,7 @@ def cmd_spectrum(args) -> int:
 
 
 def _map_cell(task):
+    from .spectrum import classify
     n, s, sigma, omega, want_lambda = task
     p = PhysParams(n=n, s=s, omega=omega, sigma=sigma)
     rep = classify(p, want_unstable_lambda=want_lambda)
@@ -227,6 +246,8 @@ def cmd_variational(args) -> int:
 def _sim_keys() -> dict:
     """A simulate config sets SimConfig's fields, each parsed as its
     default's type."""
+    import dataclasses
+
     from .dynamics import SimConfig
     return {f.name: type(f.default) for f in dataclasses.fields(SimConfig)}
 

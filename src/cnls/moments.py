@@ -14,47 +14,57 @@ M/2 + 1 values of `half_symbol` with weights 1, 2, ..., 2, 1
 (grid_sum, discrete_moment); the matrices and the FFT-based
 solvers read every mode from `symbol`.
 
+The sharp embedding constant c^2 = 1/M_1 is defined here as well, so the
+spectral layer needs nothing from the wave profiles.
+
 The closed forms need only `math`: the module imports without numpy, which
-loads on the first grid or quadrature call.
+loads on the first grid or quadrature call.  PhysParams and FourierGrid are
+NamedTuples, not dataclasses: `dataclasses` imports `inspect` (and with it
+`ast`, `dis` and `tokenize`), and that import and the building of the
+classes take longer than a closed-form command's work.  Each keeps its
+checks in a `__new__` (numerics._Record), so a record built directly, by
+`_replace` or by unpickling in a `--jobs` worker is always valid.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
-from .numerics import DomainError, beta, integrate_halfline, ln_gamma
+from .numerics import DomainError, _Record, beta, integrate_halfline, ln_gamma
 
 if TYPE_CHECKING:
     import numpy as np
 
 
-@dataclass(frozen=True)
-class PhysParams:
-    """Model parameters (n, s, omega, sigma).
-
-    The constraints s > n/2, omega > 0, sigma > 0 are exactly the existence
-    conditions for the solitary wave; all four values must be finite.
-    """
+class _PhysParamsFields(NamedTuple):
     n: int
     s: float
     omega: float
     sigma: float
 
-    def __post_init__(self):
-        for name in ("n", "s", "omega", "sigma"):
-            if not math.isfinite(getattr(self, name)):
-                raise DomainError(f"{name} must be finite, got "
-                                  f"{getattr(self, name)}")
-        if self.n < 1 or int(self.n) != self.n:
-            raise DomainError(f"n must be a positive integer, got {self.n}")
-        if not self.s > self.n / 2:
-            raise DomainError(f"requires s > n/2, got s={self.s}, n={self.n}")
-        if not self.omega > 0:
-            raise DomainError(f"requires omega > 0, got {self.omega}")
-        if not self.sigma > 0:
-            raise DomainError(f"requires sigma > 0, got {self.sigma}")
+
+class PhysParams(_Record, _PhysParamsFields):
+    """Model parameters (n, s, omega, sigma).
+
+    The constraints s > n/2, omega > 0, sigma > 0 are exactly the existence
+    conditions for the solitary wave; all four values must be finite.
+    """
+    __slots__ = ()
+
+    def __new__(cls, n, s, omega, sigma):
+        for name, value in zip(cls._fields, (n, s, omega, sigma)):
+            if not math.isfinite(value):
+                raise DomainError(f"{name} must be finite, got {value}")
+        if n < 1 or int(n) != n:
+            raise DomainError(f"n must be a positive integer, got {n}")
+        if not s > n / 2:
+            raise DomainError(f"requires s > n/2, got s={s}, n={n}")
+        if not omega > 0:
+            raise DomainError(f"requires omega > 0, got {omega}")
+        if not sigma > 0:
+            raise DomainError(f"requires sigma > 0, got {sigma}")
+        return super().__new__(cls, n, s, omega, sigma)
 
     @property
     def a(self) -> float:
@@ -82,6 +92,11 @@ def moment_closed(j: float, params: PhysParams) -> float:
     return pref * om ** (a - j) * beta(a, j - a)
 
 
+def sobolev_constant(params: PhysParams) -> float:
+    """Sharp constant c^2(omega) of the H^s -> L^inf embedding: 1/M_1(omega)."""
+    return 1.0 / moment_closed(1.0, params)
+
+
 def moment_printed(j: int, params: PhysParams) -> float:
     """The moment values as printed in the source formulas (no 1/(2s)).
 
@@ -92,7 +107,19 @@ def moment_printed(j: int, params: PhysParams) -> float:
 
 
 def moment_quadrature(j: float, params: PhysParams) -> float:
-    """M_j(omega) by exp-sinh radial quadrature, independent of the Beta path."""
+    """M_j(omega) by exp-sinh radial quadrature, independent of the Beta path.
+
+    The radial integrand f = rho^{n-1} / ((2 pi rho)^{2s} + omega)^j decays
+    only like rho^{-1-e}, e = 2sj - n, too slowly for the exp-sinh window
+    once e falls below about 0.07.  So its tail is subtracted and added back
+    analytically.  With u = rho/rho0, where rho0 = omega^{1/(2s)} / (2 pi)
+    solves (2 pi rho)^{2s} = omega, and f0 = rho0^{n-1} / omega^j, the
+    function T = f0 (1 + u)^{-1-e} has f's leading tail and the elementary
+    integral f0 rho0 / e.  That integral is added back as the same multiple
+    of the unit density (1 + u)^{-2} / rho0, inside the integrand, so the
+    rule's tolerance is relative to M_j itself: f - T + (f0/e) (1 + u)^{-2}
+    has integral M_j / |S^{n-1}| and decays like rho^{-2} for every e > 0.
+    """
     a = params.a
     if j <= a:
         raise DomainError(f"requires j > n/(2s) = {a}, got j = {j}")
@@ -102,24 +129,33 @@ def moment_quadrature(j: float, params: PhysParams) -> float:
     # the base: no power overflows until the term is far below the sum
     b = (n - 1) / j
     c = (2.0 * math.pi) ** (2.0 * s)
+    e = 2.0 * s * j - n
+    rho0 = om ** (1.0 / (2.0 * s)) / (2.0 * math.pi)
+    f0 = rho0 ** (n - 1) / om ** j
 
     def integrand(rho):
-        return 1.0 / (c * rho ** (2.0 * s - b) + om * rho ** -b) ** j
+        u1 = 1.0 + rho / rho0
+        return (1.0 / (c * rho ** (2.0 * s - b) + om * rho ** -b) ** j
+                - f0 * u1 ** (-1.0 - e) + (f0 / e) / (u1 * u1))
 
     value, _ = integrate_halfline(integrand, rel_tol=1e-13)
     return sphere_area(n) * value
 
 
-@dataclass(frozen=True)
-class FourierGrid:
-    """Periodic Fourier grid: domain [-L, L), an even number M of modes,
-    spacing h = 2L/M and a grid delta of weight 1/h at the x = 0 node."""
+class _FourierGridFields(NamedTuple):
     half_length: float
     modes: int
 
-    def __post_init__(self):
-        if self.modes < 2 or self.modes % 2:
-            raise DomainError(f"modes must be even and >= 2, got {self.modes}")
+
+class FourierGrid(_Record, _FourierGridFields):
+    """Periodic Fourier grid: domain [-L, L), an even number M of modes,
+    spacing h = 2L/M and a grid delta of weight 1/h at the x = 0 node."""
+    __slots__ = ()
+
+    def __new__(cls, half_length, modes):
+        if modes < 2 or modes % 2:
+            raise DomainError(f"modes must be even and >= 2, got {modes}")
+        return super().__new__(cls, half_length, modes)
 
     @property
     def h(self) -> float:

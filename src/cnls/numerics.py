@@ -10,14 +10,15 @@ CLI exits 2); every other failure is numerical (the CLI exits 1).
 
 All routines are pure functions; nothing here holds mutable state.  The
 module imports without numpy: numpy loads on the first quadrature call, and
-the process pool only when `--jobs` asks for more than one worker.
+the process pool only when `--jobs` asks for more than one worker.  Records
+are NamedTuples (see `_Record`), not dataclasses, for the same reason.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class NumericsError(Exception):
@@ -58,14 +59,34 @@ class BlowUp(NumericsError):
         self.t = t
 
 
-@dataclass(frozen=True)
-class Bracket:
+class _Record:
+    """Mixin for a NamedTuple record whose `__new__` checks its fields.
+
+    NamedTuple forbids `__new__` in its own class body, so a checked record
+    subclasses its fields tuple and this mixin.  `_make`, and so `_replace`,
+    build through that `__new__`, and unpickling calls it too: every
+    instance has passed the checks.
+    """
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, values):
+        return cls(*values)
+
+
+class _BracketFields(NamedTuple):
     lo: float
     hi: float
 
-    def __post_init__(self):
-        if not self.lo < self.hi:
+
+class Bracket(_Record, _BracketFields):
+    """A search interval lo < hi."""
+    __slots__ = ()
+
+    def __new__(cls, lo, hi):
+        if not lo < hi:
             raise DomainError("bracket requires lo < hi")
+        return super().__new__(cls, lo, hi)
 
 
 # exp-sinh rule of integrate_halfline: nodes on |t| <= HALFLINE_T_MAX, the

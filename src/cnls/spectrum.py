@@ -15,14 +15,12 @@ own proof, which we follow).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .moments import (FourierGrid, PhysParams, discrete_moment, grid_sum,
-                      moment_closed, sphere_area)
+                      moment_closed, sobolev_constant, sphere_area)
 from .numerics import (Bracket, DomainError, NonConvergence, NotApplicable,
                        RootSearchInconclusive, find_root, integrate_halfline)
-from .waves import sobolev_constant
 
 if TYPE_CHECKING:
     import numpy as np
@@ -32,16 +30,14 @@ DEGENERACY_TOL = 1e-12
 ORACLE_ROOT_RTOL = 1e-4
 
 
-@dataclass(frozen=True)
-class BoundState:
+class BoundState(NamedTuple):
     eigenvalue: float
     mu: float
     regime: str  # below_c2 | at_c2 | above_c2
     eigfn_shift: float  # lambda in Psi0_hat = 1/((2pi|xi|)^{2s} + omega +/- lambda)
 
 
-@dataclass(frozen=True)
-class SpectralReport:
+class SpectralReport(NamedTuple):
     params: PhysParams
     c2: float
     mu_minus: float

@@ -14,10 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .moments import FourierGrid, PhysParams
+from .moments import FourierGrid, PhysParams, sobolev_constant
 from .numerics import (DomainError, GridTooCoarse, NonConvergence, _map_jobs,
                        integrate_halfline)
-from .waves import sobolev_constant
 
 # largest default grid: 2^22 modes, the size of the discretized spectrum
 # oracle; a finer mollifier scale needs an explicit FourierGrid

@@ -14,15 +14,15 @@ import numpy as np
 
 from .dynamics import (SimConfig, discrete_energy, discrete_mass, init_state,
                        step)
-from .moments import PhysParams, moment_closed, moment_quadrature
+from .moments import (PhysParams, moment_closed, moment_quadrature,
+                      sobolev_constant)
 from .numerics import _map_jobs
 from .spectrum import (DEGENERACY_TOL, ORACLE_ROOT_RTOL, bound_state,
                        classify, eigen_determinant, lpm_eigenvalues,
                        oracle_eigen_determinant, oracle_unstable_eigenvalue,
                        sigma_critical, unstable_eigenvalue, vk_quantity)
 from .variational import convergence_study
-from .waves import (pohozaev_check, sobolev_constant,
-                    sobolev_constant_printed_check)
+from .waves import pohozaev_check, sobolev_constant_printed_check
 
 
 # Each check's gates, written once: the comparison reads them and the

@@ -1,6 +1,7 @@
 """Green's function of (-Delta)^s + lambda, the explicit solitary-wave
-profile, the sharp Sobolev embedding constant, and the Pohozaev identity
-checker.
+profile, the printed formula of the sharp Sobolev embedding constant (the
+constant itself, 1/M_1, is moments.sobolev_constant), and the Pohozaev
+identity checker.
 
 Pointwise profile values are radial inverse Fourier transforms (n = 1, 2, 3),
 integrated on a ray in the upper half plane where the integrand decays
@@ -18,10 +19,10 @@ import cmath
 import functools
 import math
 import sys
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .moments import PhysParams, moment_closed, moment_quadrature
+from .moments import sobolev_constant  # noqa: F401  (re-exported)
 from .numerics import DomainError, UnsupportedDimension, _linspace, ln_gamma
 
 # Green's function quadrature: exp-sinh nodes y = exp((pi/2) sinh t) on the
@@ -44,27 +45,20 @@ HANKEL_ASYMPTOTIC = 25.0
 LOG_HALF_GAMMA = 0.57721566490153286 - math.log(2.0)  # Euler's gamma - ln 2
 
 
-@dataclass(frozen=True)
-class RadialProfile:
+class RadialProfile(NamedTuple):
     params: PhysParams
     radii: tuple[float, ...]
     values: tuple[float, ...]
     center_value: float
 
 
-@dataclass(frozen=True)
-class PohozaevReport:
+class PohozaevReport(NamedTuple):
     l2_mass: float
     homog_seminorm_sq: float
     center_pow: float
     residual_mass_identity: float
     residual_seminorm_identity: float
     residual_energy_identity: float
-
-
-def sobolev_constant(params: PhysParams) -> float:
-    """Sharp constant c^2(omega) of the H^s -> L^inf embedding: 1/M_1(omega)."""
-    return 1.0 / moment_closed(1.0, params)
 
 
 def sobolev_constant_printed_check(n: int, s: float):

@@ -456,3 +456,47 @@ class TestImports:
         unstable = [r.split(",") for r in lines if ",unstable," in r]
         assert len(unstable) == 2 and all(float(r[-1]) > 0 for r in unstable)
         assert [r for r in lines if r.startswith("loaded ")] == ["loaded []"]
+
+    # `dataclasses` (with inspect, ast, dis and tokenize) and the layers a
+    # command does not run cost more to import than a closed-form command's
+    # work, so each command, run alone, leaves them unloaded
+    CENSUS = [
+        (["--help"], ("dataclasses",)),
+        (["stability-map", "--n", "2", "--s-range", "1.2:2.5:2",
+          "--sigma-range", "0.5:3:2", "--with-lambda"],
+         ("dataclasses", "cnls.waves")),
+        (["spectrum", "--sigma", "2"], ("dataclasses", "cnls.waves")),
+        (["spectrum", "--sigma", "2", "--format", "json"],
+         ("dataclasses", "cnls.waves")),
+        (["pohozaev"], ("dataclasses",)),
+        (["profile", "--n", "2", "--s", "2", "--r-range", "0:3:4"],
+         ("dataclasses", "cnls.spectrum")),
+    ]
+
+    @pytest.mark.parametrize("argv,unloaded", CENSUS,
+                             ids=[" ".join(a) for a, _ in CENSUS])
+    def test_commands_load_only_the_modules_they_run(self, argv, unloaded):
+        code = ("import sys\n"
+                "from cnls.cli import main\n"
+                "try:\n"
+                f"    code = main({argv!r})\n"
+                "except SystemExit as e:\n"
+                "    code = e.code\n"
+                f"print('exit', code, [m for m in {unloaded!r}\n"
+                "                     if m in sys.modules])\n")
+        assert _python(code)[-1] == "exit 0 []"
+
+    def test_package_names_load_their_layer_on_first_access(self):
+        code = ("import sys\n"
+                "import cnls, cnls.cli\n"
+                "print(sorted(m for m in sys.modules if m.startswith('cnls')))\n"
+                "from cnls import RadialProfile, SpectralReport, classify\n"
+                "import cnls.spectrum as sp, cnls.waves as wv\n"
+                "assert classify is sp.classify is cnls.cli.classify\n"
+                "assert SpectralReport is sp.SpectralReport\n"
+                "assert RadialProfile is wv.RadialProfile\n"
+                "assert cnls.soliton_profile is wv.soliton_profile\n"
+                "assert cnls.sobolev_constant is wv.sobolev_constant\n"
+                "print('ok')\n")
+        assert _python(code) == [
+            "['cnls', 'cnls.cli', 'cnls.moments', 'cnls.numerics']", "ok"]

@@ -20,7 +20,7 @@ DEGEN = PhysParams(n=1, s=1.0, omega=1.0, sigma=1.0)
 def _cfg(params, **kw):
     base = dict(half_length=40.0, modes=1024, dt=1e-3, t_final=1.0)
     base.update(kw)
-    return SimConfig(**dataclasses.asdict(params), **base)
+    return SimConfig(**params._asdict(), **base)
 
 
 class TestConfigValidation:

@@ -48,10 +48,14 @@ def test_domain_subclasses():
 
 
 EXIT_CODES = [
-    # valid input, numerics fail: the quadrature tail never converges
-    (["constants", "--n", "1", "--s", "0.5000001"], 1),
-    # valid input, integrand overflows before the tail bound is met
-    (["constants", "--n", "3", "--s", "1.5000001"], 1),
+    # valid input at the embedding edge s -> n/2: the moment quadrature
+    # subtracts its slow rho^{-1-(2s-n)} tail and adds it back analytically,
+    # so it converges where the tail alone would never meet the tolerance
+    # (n = 1) or would overflow before it (n = 3)
+    (["constants", "--n", "1", "--s", "0.5000001"], 0),
+    (["constants", "--n", "3", "--s", "1.5000001"], 0),
+    (["constants", "--n", "1", "--s", "0.52"], 0),
+    (["constants", "--n", "2", "--s", "1.02"], 0),
     # unstable eigenvalue ~4e71, beyond the old 1e12 omega bracket cap
     (["spectrum", "--n", "3", "--s", "1.51", "--sigma", "0.99"], 0),
     (["variational", "--scales", "4,nan"], 2),

@@ -9,6 +9,7 @@ from cnls.moments import (FourierGrid, PhysParams, discrete_moment, grid_sum,
                           moment_closed, moment_printed, moment_quadrature,
                           sphere_area)
 from cnls.numerics import DomainError
+from cnls.verify import MOMENT_RTOL
 
 CLASSICAL = PhysParams(n=1, s=1.0, omega=1.0, sigma=1.0)
 
@@ -36,6 +37,18 @@ class TestQuadratureOracle:
             closed = moment_closed(j, p)
             quad = moment_quadrature(j, p)
             assert abs(closed - quad) < 1e-10 * abs(closed)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("frac", [0.002, 0.01, 0.03])
+    def test_quadrature_near_the_embedding_edge(self, n, frac):
+        # s = n/2 + frac n: at j = 1 the integrand decays like rho^{-1-2 frac n},
+        # too slowly for the exp-sinh window unless its tail is subtracted
+        for j in (1.0, 2.0, 3.0):
+            for om in (0.5, 2.0):
+                p = PhysParams(n=n, s=n / 2 + frac * n, omega=om, sigma=1.0)
+                closed = moment_closed(j, p)
+                quad = moment_quadrature(j, p)
+                assert abs(closed - quad) < MOMENT_RTOL * abs(closed)
 
     def test_quadrature_method_tag(self):
         assert abs(moment_quadrature(1.0, CLASSICAL) - 0.5) < 1e-10
