@@ -11,8 +11,6 @@ writes a manifest.json next to its data.
 from __future__ import annotations
 
 import argparse
-import datetime
-import json
 import math
 import numbers
 import sys
@@ -26,7 +24,8 @@ from pathlib import Path
 # them, and the array-only modules (dynamics, variational, verify) inside
 # the commands that run them.  None of the records of moments, spectrum and
 # waves is a dataclass, so only simulate, variational and verify load
-# `dataclasses`.
+# `dataclasses`.  `json` and `datetime` load only where JSON or a manifest
+# is written.
 from . import __version__
 from .moments import (PhysParams, moment_closed, moment_printed,
                       moment_quadrature, sobolev_constant)
@@ -84,6 +83,8 @@ def _params_from(args) -> PhysParams:
 
 def _write_manifest(out_dir: Path, command: str, parameters: dict,
                     outputs: list[str], summary: dict) -> None:
+    import datetime
+    import json
     manifest = {
         "command": command,
         "parameters": parameters,
@@ -118,6 +119,7 @@ def _emit(args, command: str, rows: list[dict], header: list[str],
           parameters: dict, summary: dict, basename: str) -> None:
     """Write rows as CSV or JSON to --out (plus manifest) or stdout."""
     if args.format == "json":
+        import json
         body = json.dumps({"rows": rows, "summary": summary},
                           indent=2, default=float) + "\n"
         fname = f"{basename}.json"
@@ -193,6 +195,7 @@ def cmd_spectrum(args) -> int:
         _emit(args, "spectrum", rows, ["field", "value"], vars_of(args),
               summary, "spectrum")
     else:
+        import json
         _write(args, "spectrum", "spectrum.json",
                json.dumps(obj, indent=2, default=float) + "\n",
                vars_of(args), summary)

@@ -83,13 +83,18 @@ def moment_closed(j: float, params: PhysParams) -> float:
     """M_j(omega) via the Beta identity.
 
     M_j = |S^{n-1}| / ((2 pi)^n 2s) * omega^{n/(2s) - j} * B(n/(2s), j - n/(2s))
+
+    j - a is formed as (2sj - n)/(2s), not from the rounded a: near s = n/2
+    the difference j - a would otherwise carry a's rounding, a relative
+    error of about 1e-16/(j - a) that B passes on.
     """
-    a = params.a
-    if j <= a:
-        raise DomainError(f"requires j > n/(2s) = {a}, got j = {j}")
     n, s, om = params.n, params.s, params.omega
+    a = params.a
+    j_minus_a = (2.0 * s * j - n) / (2.0 * s)
+    if not j_minus_a > 0:
+        raise DomainError(f"requires j > n/(2s) = {a}, got j = {j}")
     pref = sphere_area(n) / ((2.0 * math.pi) ** n * 2.0 * s)
-    return pref * om ** (a - j) * beta(a, j - a)
+    return pref * om ** (a - j) * beta(a, j_minus_a)
 
 
 def sobolev_constant(params: PhysParams) -> float:

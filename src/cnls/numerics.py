@@ -10,15 +10,15 @@ CLI exits 2); every other failure is numerical (the CLI exits 1).
 
 All routines are pure functions; nothing here holds mutable state.  The
 module imports without numpy: numpy loads on the first quadrature call, and
-the process pool only when `--jobs` asks for more than one worker.  Records
-are NamedTuples (see `_Record`), not dataclasses, for the same reason.
+the process pool only when `--jobs` asks for more than one worker.  The
+package's checked records (in moments) are NamedTuples built on `_Record`,
+not dataclasses, for the same reason.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from typing import NamedTuple
 
 
 class NumericsError(Exception):
@@ -72,21 +72,6 @@ class _Record:
     @classmethod
     def _make(cls, values):
         return cls(*values)
-
-
-class _BracketFields(NamedTuple):
-    lo: float
-    hi: float
-
-
-class Bracket(_Record, _BracketFields):
-    """A search interval lo < hi."""
-    __slots__ = ()
-
-    def __new__(cls, lo, hi):
-        if not lo < hi:
-            raise DomainError("bracket requires lo < hi")
-        return super().__new__(cls, lo, hi)
 
 
 # exp-sinh rule of integrate_halfline: nodes on |t| <= HALFLINE_T_MAX, the
@@ -161,17 +146,25 @@ def beta(a: float, b: float) -> float:
     """Euler Beta function B(a, b) = Gamma(a)Gamma(b)/Gamma(a+b), a,b > 0.
 
     Evaluation order is symmetrized so beta(a, b) == beta(b, a) exactly.
+    Below a + b = 171, where Gamma is finite, the Gamma values are divided
+    and multiplied directly: each carries a few ulps, while log Gamma of an
+    argument x -> 0 grows like -log x and its rounding would swamp the
+    small net exponent.
     """
     if a <= 0 or b <= 0:
         raise DomainError(f"beta requires positive arguments, got ({a}, {b})")
     lo, hi = (a, b) if a <= b else (b, a)
+    if lo + hi < 171.0:
+        return math.gamma(lo) / math.gamma(lo + hi) * math.gamma(hi)
     return math.exp(ln_gamma(lo) + ln_gamma(hi) - ln_gamma(lo + hi))
 
 
-def find_root(f, bracket: Bracket, tol: float = 1e-13) -> float:
-    """Root of f inside a sign-changing bracket, by bisection down to a
-    bracket narrower than tol or to adjacent floats."""
-    lo, hi = float(bracket.lo), float(bracket.hi)
+def find_root(f, lo: float, hi: float, tol: float) -> float:
+    """Root of f inside a sign-changing bracket [lo, hi], by bisection down
+    to a bracket narrower than tol or to adjacent floats."""
+    if not lo < hi:  # NaN fails this too
+        raise DomainError(f"bracket requires lo < hi, got [{lo}, {hi}]")
+    lo, hi = float(lo), float(hi)
     flo, fhi = f(lo), f(hi)
     if flo == 0.0:
         return lo

@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from .moments import (FourierGrid, PhysParams, discrete_moment, grid_sum,
                       moment_closed, sobolev_constant, sphere_area)
-from .numerics import (Bracket, DomainError, NonConvergence, NotApplicable,
+from .numerics import (DomainError, NonConvergence, NotApplicable,
                        RootSearchInconclusive, find_root, integrate_halfline)
 
 if TYPE_CHECKING:
@@ -82,27 +82,34 @@ def bound_state(mu: float, params: PhysParams) -> BoundState:
                       eigfn_shift=abs(eig))
 
 
-def vk_quantity(params: PhysParams) -> float:
-    """Q = M_3 - ((2 sigma + 1)/(2 sigma)) M_2^2 / M_1, the resolvent pairing
-    whose sign decides spectral stability (negative <=> stable)."""
-    m1 = moment_closed(1.0, params)
-    m2 = moment_closed(2.0, params)
-    m3 = moment_closed(3.0, params)
-    sig = params.sigma
-    return m3 - (2 * sig + 1) / (2 * sig) * m2 * m2 / m1
-
-
 def sigma_critical(params: PhysParams) -> float:
     """Stability threshold sigma* = 2s/n - 1."""
     return 2.0 * params.s / params.n - 1.0
+
+
+def vk_quantity(params: PhysParams) -> float:
+    """Q = M_3 - ((2 sigma + 1)/(2 sigma)) M_2^2 / M_1, the resolvent pairing
+    whose sign decides spectral stability (negative <=> stable).
+
+    The Beta recurrence M_{j+1} = M_j (j - a)/(j omega), a = n/(2s), reduces
+    it to Q = M_1 (1 - a) a (sigma - sigma*) / (2 sigma omega^2): one moment
+    times the difference sigma - sigma* that stability_regime reads, so the
+    sign of Q is the classification's and nothing cancels near sigma*.  The
+    three-moment form is verify's independent oracle for it.
+    """
+    n, s, om, sig = params
+    one_minus_a = (2.0 * s - n) / (2.0 * s)
+    return (moment_closed(1.0, params) * one_minus_a * params.a
+            * (sig - sigma_critical(params)) / (2.0 * sig * om * om))
 
 
 def stability_regime(params: PhysParams) -> str:
     """stable | unstable | degenerate, from sigma against sigma*; within
     DEGENERACY_TOL of sigma* the cell counts as degenerate.
 
-    Q = C (1-a) [(2-a)/2 - (1 + 1/(2 sigma))(1-a)] changes sign exactly at
-    sigma*, so this is the sign of Q without its round-off near zero.
+    Q = M_1 (1 - a) a (sigma - sigma*) / (2 sigma omega^2) (vk_quantity)
+    has the sign of sigma - sigma*, and both read this one difference: off
+    the degenerate band, the label is the sign of Q.
     """
     gap = params.sigma - sigma_critical(params)
     if abs(gap) <= DEGENERACY_TOL:
@@ -187,7 +194,7 @@ def unstable_eigenvalue(params: PhysParams) -> float | None:
             raise RootSearchInconclusive(
                 "D stays negative up to the largest float: the unstable "
                 "eigenvalue is beyond it")
-    return find_root(D, Bracket(1e-8 * om, hi), tol=1e-12 * om)
+    return find_root(D, 1e-8 * om, hi, tol=1e-12 * om)
 
 
 def classify(params: PhysParams, want_unstable_lambda: bool = True) -> SpectralReport:
@@ -226,7 +233,7 @@ def secular_eigenvalues(mu: float, params: PhysParams,
     lo = om - 1.0
     while secular(lo) < 0:
         lo = om - 2.0 * (om - lo)
-    return find_root(secular, Bracket(lo, om - 1e-13), tol=1e-13)
+    return find_root(secular, lo, om - 1e-13, tol=1e-13)
 
 
 def discrete_eigen_determinant(lam: float, params: PhysParams, d: np.ndarray,
@@ -273,16 +280,6 @@ def oracle_unstable_eigenvalue(params: PhysParams, near: float) -> float:
     else:
         hi, d_hi = mid, d_mid
     return lo - d_lo * (hi - lo) / (d_hi - d_lo)
-
-
-def lpm_eigenvalues(params: PhysParams) -> tuple[float, float]:
-    """Lowest eigenvalues of the discretized L- and L+ (secular route) on
-    the default grid."""
-    grid = default_grid(params)
-    c2 = sobolev_constant(params)
-    minus = secular_eigenvalues(c2, params, grid)
-    plus = secular_eigenvalues((2 * params.sigma + 1) * c2, params, grid)
-    return minus, plus
 
 
 def coercivity_gap(params: PhysParams) -> float:

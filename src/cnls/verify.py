@@ -18,9 +18,10 @@ from .moments import (PhysParams, moment_closed, moment_quadrature,
                       sobolev_constant)
 from .numerics import _map_jobs
 from .spectrum import (DEGENERACY_TOL, ORACLE_ROOT_RTOL, bound_state,
-                       classify, eigen_determinant, lpm_eigenvalues,
+                       classify, default_grid, eigen_determinant,
                        oracle_eigen_determinant, oracle_unstable_eigenvalue,
-                       sigma_critical, unstable_eigenvalue, vk_quantity)
+                       secular_eigenvalues, sigma_critical,
+                       unstable_eigenvalue, vk_quantity)
 from .variational import convergence_study
 from .waves import pohozaev_check, sobolev_constant_printed_check
 
@@ -138,10 +139,22 @@ def check_vk_fractions() -> CheckResult:
                    f"(tol {_sci(VK_FRACTION_TOL)})")
 
 
+def _three_moment_vk_quantity(params: PhysParams) -> float:
+    """Q = M_3 - ((2 sigma + 1)/(2 sigma)) M_2^2 / M_1 from three Beta
+    moments: the oracle for the classification, which reads sigma - sigma*
+    (as the factored vk_quantity does).  The difference cancels near
+    sigma*, so only its sign off the degenerate band is compared."""
+    m1 = moment_closed(1.0, params)
+    m2 = moment_closed(2.0, params)
+    m3 = moment_closed(3.0, params)
+    sig = params.sigma
+    return m3 - (2 * sig + 1) / (2 * sig) * m2 * m2 / m1
+
+
 def check_stability_boundary() -> CheckResult:
-    """Zero misclassified cells against the sign of Q from the Beta-function
-    moments on a 25 x 40 (s, sigma) map per dimension, the degenerate band
-    around sigma* = 2s/n - 1 excluded."""
+    """Zero misclassified cells against the sign of Q from three
+    Beta-function moments on a 25 x 40 (s, sigma) map per dimension, the
+    degenerate band around sigma* = 2s/n - 1 excluded."""
     bad = 0
     total = 0
     for n in (1, 2, 3):
@@ -154,7 +167,8 @@ def check_stability_boundary() -> CheckResult:
                 if abs(sig - crit) <= DEGENERACY_TOL:
                     continue
                 rep = classify(p, want_unstable_lambda=False)
-                want = "unstable" if vk_quantity(p) > 0 else "stable"
+                want = ("unstable" if _three_moment_vk_quantity(p) > 0
+                        else "stable")
                 total += 1
                 if rep.classification != want:
                     bad += 1
@@ -167,8 +181,9 @@ def check_bound_state_oracle() -> CheckResult:
     discretized secular oracle for the lowest L_+ eigenvalue at sigma=1."""
     p = PhysParams(n=1, s=1.0, omega=1.0, sigma=1.0)
     err_well = abs(bound_state(4.0, p).eigenvalue - (-3.0))
-    _, plus = lpm_eigenvalues(p)
-    semi = bound_state((2 * p.sigma + 1) * sobolev_constant(p), p).eigenvalue
+    mu_plus = (2 * p.sigma + 1) * sobolev_constant(p)
+    plus = secular_eigenvalues(mu_plus, p, default_grid(p))
+    semi = bound_state(mu_plus, p).eigenvalue
     rel = abs(plus - semi) / abs(semi)
     ok = err_well < DELTA_WELL_TOL and rel < LPLUS_RTOL
     return _result("bound-state-oracle", ok,

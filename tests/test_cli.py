@@ -430,7 +430,8 @@ class TestImports:
         code = ("import sys\n"
                 "from cnls.cli import main\n"
                 "from cnls.moments import PhysParams\n"
-                "from cnls.spectrum import coercivity_gap, lpm_eigenvalues\n"
+                "from cnls.spectrum import (coercivity_gap, default_grid,\n"
+                "                           secular_eigenvalues)\n"
                 "def scipy():\n"
                 "    return sorted(m for m in sys.modules\n"
                 "                  if m.split('.')[0] == 'scipy')\n"
@@ -448,7 +449,8 @@ class TestImports:
                 "        ['variational', '--scales', '4'], ['verify']]\n"
                 "for argv in runs:\n"
                 "    assert main(argv) == 0, argv\n"
-                "lpm_eigenvalues(PhysParams(1, 1.0, 1.0, 1.0))\n"
+                "p = PhysParams(1, 1.0, 1.0, 1.0)\n"
+                "secular_eigenvalues(2.0, p, default_grid(p))\n"
                 "coercivity_gap(PhysParams(1, 1.0, 1.0, 0.5))\n"
                 "print('loaded', scipy())\n"
                 "assert 'numpy.polynomial' not in sys.modules\n")
@@ -459,18 +461,20 @@ class TestImports:
 
     # `dataclasses` (with inspect, ast, dis and tokenize) and the layers a
     # command does not run cost more to import than a closed-form command's
-    # work, so each command, run alone, leaves them unloaded
+    # work, so each command, run alone, leaves them unloaded; `json` and
+    # `datetime` load only for JSON output or an --out manifest
+    CSV_ONLY = ("dataclasses", "json", "datetime")
     CENSUS = [
-        (["--help"], ("dataclasses",)),
+        (["--help"], CSV_ONLY),
         (["stability-map", "--n", "2", "--s-range", "1.2:2.5:2",
           "--sigma-range", "0.5:3:2", "--with-lambda"],
-         ("dataclasses", "cnls.waves")),
-        (["spectrum", "--sigma", "2"], ("dataclasses", "cnls.waves")),
+         CSV_ONLY + ("cnls.waves",)),
+        (["spectrum", "--sigma", "2"], CSV_ONLY + ("cnls.waves",)),
         (["spectrum", "--sigma", "2", "--format", "json"],
-         ("dataclasses", "cnls.waves")),
-        (["pohozaev"], ("dataclasses",)),
+         ("dataclasses", "cnls.waves", "datetime")),
+        (["pohozaev"], CSV_ONLY),
         (["profile", "--n", "2", "--s", "2", "--r-range", "0:3:4"],
-         ("dataclasses", "cnls.spectrum")),
+         CSV_ONLY + ("cnls.spectrum",)),
     ]
 
     @pytest.mark.parametrize("argv,unloaded", CENSUS,

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -26,6 +27,29 @@ class TestExactValues:
         for j in (1, 2, 3):
             assert abs(moment_printed(j, CLASSICAL)
                        - 2.0 * moment_closed(float(j), CLASSICAL)) < 1e-14
+
+
+def _moment_reference(j, params):
+    """M_j from the Beta identity in 40-digit arithmetic at the exact float
+    parameters."""
+    with mpmath.workdps(40):
+        n, s, om = (mpmath.mpf(x) for x in params[:3])
+        a = n / (2 * s)
+        return float(2 * mpmath.pi ** (n / 2) / mpmath.gamma(n / 2)
+                     / ((2 * mpmath.pi) ** n * 2 * s)
+                     * om ** (a - j) * mpmath.beta(a, j - a))
+
+
+class TestNearTheEmbeddingEdge:
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("j", [1.0, 2.0, 3.0])
+    def test_closed_form_keeps_its_digits(self, n, j):
+        # as s -> n/2, 1 - a formed from the rounded a = n/(2s) is off by
+        # about 1e-16/(1 - a) relative (1.6e-10 in M_1 here at n = 1), and
+        # log Gamma(1 - a) ~ -log(1 - a) rounds at its own size
+        p = PhysParams(n=n, s=0.5 * n * (1.0 + 1e-7), omega=1.0, sigma=1.0)
+        ref = _moment_reference(j, p)
+        assert abs(moment_closed(j, p) - ref) <= 8 * 2.0 ** -52 * ref
 
 
 class TestQuadratureOracle:

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from cnls import numerics
 from cnls.moments import PhysParams, moment_closed, moment_quadrature
-from cnls.numerics import (HALFLINE_STEP, HALFLINE_T_MAX, Bracket, DomainError,
+from cnls.numerics import (HALFLINE_STEP, HALFLINE_T_MAX, DomainError,
                            NoSignChange, NonConvergence, _map_jobs, beta,
                            find_root, integrate_halfline, ln_gamma)
 
@@ -138,36 +138,45 @@ class TestGammaBeta:
 
 class TestFindRoot:
     def test_simple(self):
-        r = find_root(lambda x: x ** 2 - 2.0, Bracket(0.0, 2.0))
+        r = find_root(lambda x: x ** 2 - 2.0, 0.0, 2.0, tol=1e-13)
         assert abs(r - math.sqrt(2)) < 1e-12
 
     def test_endpoint_root(self):
-        assert find_root(lambda x: x, Bracket(0.0, 1.0)) == 0.0
+        assert find_root(lambda x: x, 0.0, 1.0, tol=1e-13) == 0.0
 
     def test_no_sign_change(self):
         with pytest.raises(NoSignChange):
-            find_root(lambda x: x ** 2 + 1.0, Bracket(-1.0, 1.0))
+            find_root(lambda x: x ** 2 + 1.0, -1.0, 1.0, tol=1e-13)
 
     def test_bad_bracket(self):
         with pytest.raises(DomainError):
-            Bracket(1.0, 1.0)
+            find_root(lambda x: x, 1.0, 1.0, tol=1e-13)
+
+    @pytest.mark.parametrize("lo,hi", [(0.0, 0.0), (math.nan, 1.0),
+                                       (0.0, math.nan), (1.0, 0.0)],
+                             ids=["hi=0.0", "lo=nan", "hi=nan", "reversed"])
+    def test_rejects_a_bracket_without_lo_below_hi(self, lo, hi):
+        # checked before f is called: f here would fail the test
+        def f(x):
+            raise AssertionError("f called on a bad bracket")
+        with pytest.raises(DomainError,
+                           match=r"^bracket requires lo < hi, got \["):
+            find_root(f, lo, hi, tol=1e-13)
 
     def test_bisection_stops_at_float_resolution(self):
         # a tolerance below the float spacing near the root must not loop
-        r = find_root(lambda x: x - 1e5 - 0.1, Bracket(0.0, 2e5), tol=0.0)
+        r = find_root(lambda x: x - 1e5 - 0.1, 0.0, 2e5, tol=0.0)
         assert abs(r - (1e5 + 0.1)) <= 2e-11
 
     def test_bisection_sign_test_survives_underflow(self):
         # f(0) = -5e-324: its product with any |f| < 1 underflows to -0.0
-        r = find_root(lambda x: math.tanh(x) - 5e-324, Bracket(-5.0, 5.0),
-                      tol=1e-13)
+        r = find_root(lambda x: math.tanh(x) - 5e-324, -5.0, 5.0, tol=1e-13)
         assert abs(r) < 1e-12
 
     @given(c=st.floats(-0.9, 0.9))
     @settings(max_examples=50, deadline=None)
     def test_matches_atanh(self, c):
-        r = find_root(lambda x: math.tanh(x) - c, Bracket(-5.0, 5.0),
-                      tol=1e-13)
+        r = find_root(lambda x: math.tanh(x) - c, -5.0, 5.0, tol=1e-13)
         assert abs(r - math.atanh(c)) < 1e-10
 
 

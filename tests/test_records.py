@@ -1,5 +1,5 @@
 """The package's records are immutable NamedTuples; the checked ones
-(PhysParams, FourierGrid, Bracket) reject bad fields however they are built:
+(PhysParams, FourierGrid) reject bad fields however they are built:
 directly, by `_replace`, or by unpickling in a `--jobs` worker."""
 
 import math
@@ -8,7 +8,7 @@ import pickle
 import pytest
 
 from cnls.moments import FourierGrid, PhysParams
-from cnls.numerics import Bracket, DomainError
+from cnls.numerics import DomainError
 from cnls.spectrum import BoundState, SpectralReport, bound_state, classify
 from cnls.waves import (PohozaevReport, RadialProfile, pohozaev_check,
                         soliton_profile)
@@ -33,8 +33,6 @@ CHECKED = [
      "n must be finite, got inf"),
     (FourierGrid, (1.0, 8), "modes", 7, "modes must be even and >= 2, got 7"),
     (FourierGrid, (1.0, 8), "modes", 0, "modes must be even and >= 2, got 0"),
-    (Bracket, (0.0, 1.0), "hi", 0.0, "bracket requires lo < hi"),
-    (Bracket, (0.0, 1.0), "lo", math.nan, "bracket requires lo < hi"),
 ]
 IDS = [f"{cls.__name__}-{field}={bad}" for cls, _, field, bad, _ in CHECKED]
 
@@ -74,7 +72,7 @@ class TestCheckedRecords:
 
 
 def _records():
-    return [P, FourierGrid(half_length=2.0, modes=8), Bracket(0.0, 1.0),
+    return [P, FourierGrid(half_length=2.0, modes=8),
             bound_state(2.0, P), classify(P),
             soliton_profile([0.0, 1.0], P), pohozaev_check(P)]
 
@@ -90,7 +88,7 @@ def test_fields_cannot_be_assigned(record):
 
 def test_record_types():
     assert [type(r) for r in _records()] == [
-        PhysParams, FourierGrid, Bracket, BoundState, SpectralReport,
+        PhysParams, FourierGrid, BoundState, SpectralReport,
         RadialProfile, PohozaevReport]
 
 
@@ -99,7 +97,6 @@ def test_repr_names_the_fields():
         "PhysParams(n=1, s=1.0, omega=2.0, sigma=0.5)"
     assert repr(FourierGrid(half_length=2.0, modes=8)) == \
         "FourierGrid(half_length=2.0, modes=8)"
-    assert repr(Bracket(0.0, 1.0)) == "Bracket(lo=0.0, hi=1.0)"
 
 
 def test_derived_values():

@@ -1,19 +1,20 @@
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from cnls import moments, spectrum
 from cnls.moments import (FourierGrid, PhysParams, discrete_moment,
                           moment_closed)
-from cnls.numerics import (Bracket, DomainError, NonConvergence,
+from cnls.numerics import (DomainError, NonConvergence,
                            RootSearchInconclusive, find_root)
-from cnls.spectrum import (BoundState, NotApplicable, bound_state,
-                           classify, coercivity_gap, default_grid,
-                           discrete_eigen_determinant, eigen_determinant,
-                           lpm_eigenvalues,
-                           oracle_eigen_determinant,
+from cnls.spectrum import (DEGENERACY_TOL, BoundState, NotApplicable,
+                           bound_state, classify, coercivity_gap,
+                           default_grid, discrete_eigen_determinant,
+                           eigen_determinant, oracle_eigen_determinant,
                            oracle_unstable_eigenvalue, secular_eigenvalues,
                            sigma_critical, unstable_eigenvalue, vk_quantity)
 from cnls.waves import sobolev_constant
@@ -64,6 +65,22 @@ class TestBoundStates:
         assert b.eigenvalue == pytest.approx(1.0 - mu * mu / 4.0, abs=1e-10)
 
 
+EPS = 2.0 ** -52
+
+
+def _q_reference(params):
+    """Q = M_3 - ((2 sigma + 1)/(2 sigma)) M_2^2/M_1 from 50-digit Beta
+    moments at the exact float parameters."""
+    with mpmath.workdps(50):
+        n, s, om, sig = (mpmath.mpf(x) for x in params)
+        a = n / (2 * s)
+        pref = (2 * mpmath.pi ** (n / 2) / mpmath.gamma(n / 2)
+                / ((2 * mpmath.pi) ** n * 2 * s))
+        m1, m2, m3 = (pref * om ** (a - j) * mpmath.beta(a, j - a)
+                      for j in (1, 2, 3))
+        return float(m3 - (2 * sig + 1) / (2 * sig) * m2 * m2 / m1)
+
+
 class TestVKQuantity:
     def test_exact_fractions(self):
         vals = {1.0: 0.0, 2.0: 1.0 / 32.0, 0.5: -1.0 / 16.0}
@@ -78,10 +95,45 @@ class TestVKQuantity:
         s = s_rel * n
         p = PhysParams(n=n, s=s, omega=1.0, sigma=sig)
         crit = sigma_critical(p)
-        if abs(sig - crit) < 1e-6:
+        if abs(sig - crit) <= DEGENERACY_TOL:
             return
         q = vk_quantity(p)
         assert (q > 0) == (sig > crit)
+
+    @given(n=st.integers(1, 3), s_rel=st.floats(0.55, 3.0),
+           log_gap=st.floats(-10.0, math.log10(3.0)), above=st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_50_digit_reference(self, n, s_rel, log_gap, above):
+        # the relative error of Q is a few roundings, plus the rounding of
+        # sigma* = 2s/n - 1 (at most about eps 2s/n) over sigma - sigma*
+        s = s_rel * n
+        crit = 2.0 * s / n - 1.0
+        gap = 10.0 ** log_gap
+        sig = crit + gap if above else crit - gap
+        assume(sig > 0)
+        p = PhysParams(n=n, s=s, omega=1.0, sigma=sig)
+        ref = _q_reference(p)
+        budget = 8 * EPS * (1.0 + (2.0 * s / n) / abs(sig - crit))
+        assert abs(vk_quantity(p) - ref) <= budget * abs(ref)
+
+    @pytest.mark.parametrize("n, s", [(1, 1.0), (1, 0.8), (2, 1.7),
+                                      (3, 2.2)])
+    def test_no_cancellation_near_threshold(self, n, s):
+        # sigma* is exact at these four cells, so only Q's own roundings
+        # remain (the three-moment difference loses up to 4.5e-7 here)
+        for gap in (1e-2, 1e-5, 1e-8):
+            p = PhysParams(n=n, s=s, omega=1.0, sigma=2.0 * s / n - 1.0 + gap)
+            ref = _q_reference(p)
+            assert abs(vk_quantity(p) - ref) <= 1e-15 * abs(ref)
+
+    def test_classify_reads_at_most_three_moments(self, monkeypatch):
+        # c^2, the L+ bound state and Q each need M_1 once, and nothing else
+        calls = []
+        counted = lambda j, params: calls.append(j) or moment_closed(j, params)
+        monkeypatch.setattr(moments, "moment_closed", counted)
+        monkeypatch.setattr(spectrum, "moment_closed", counted)
+        classify(PhysParams(2, 1.7, 1.3, 0.9))
+        assert 0 < len(calls) <= 3
 
     def test_classification_labels(self):
         stable = classify(PhysParams(1, 1.0, 1.0, 0.5),
@@ -164,11 +216,11 @@ def _bound_state_by_root(mu, params):
         return mu * moment_closed(1.0, shifted) - 1.0
 
     if mu < c2:
-        return find_root(f, Bracket(0.0, om * (1 - 1e-15)), tol=1e-14)
+        return find_root(f, 0.0, om * (1 - 1e-15), tol=1e-14)
     lo = -om
     while f(lo) > 0:
         lo *= 2.0
-    return find_root(f, Bracket(lo, 0.0), tol=1e-14)
+    return find_root(f, lo, 0.0, tol=1e-14)
 
 
 # fixed oracle grid: s/n >= 0.75 keeps the quadrature tails short; sigma
@@ -236,7 +288,10 @@ class TestDiscretizedOracle:
             -3.0, rel=1e-2)
 
     def test_lplus_lowest(self):
-        minus, plus = lpm_eigenvalues(CLASSICAL)
+        grid = default_grid(CLASSICAL)
+        c2 = sobolev_constant(CLASSICAL)
+        minus = secular_eigenvalues(c2, CLASSICAL, grid)
+        plus = secular_eigenvalues(3.0 * c2, CLASSICAL, grid)
         # L- has lowest eigenvalue 0 (kernel = wave), L+ has -8 at sigma=1
         assert abs(minus) < 0.05
         assert plus == pytest.approx(-8.0, rel=1e-2)
@@ -265,7 +320,7 @@ class TestDiscretizedOracle:
         # the dense pencil reads every mode, D the half spectrum k <= M/2
         d = grid.half_symbol(p.s) + p.omega
         D = lambda lam: discrete_eigen_determinant(lam, p, d, grid)
-        root = find_root(D, Bracket(1e-6, 20.0), tol=1e-12)
+        root = find_root(D, 1e-6, 20.0, tol=1e-12)
         assert real_pos, "dense pencil found no real unstable eigenvalue"
         assert min(abs(r - root) for r in real_pos) < 1e-6 * root
 
@@ -314,8 +369,7 @@ class TestCoercivity:
         assert gaps[0] > gaps[1] > gaps[2]
 
     def test_not_applicable_when_unstable(self):
-        # unstable, then two degenerate cells (sigma = sigma*) where the
-        # round-off sign of Q is negative and positive
+        # unstable, then two degenerate cells, where sigma = sigma* exactly
         s = 0.556140350877193
         for p in (PhysParams(1, 1.0, 1.0, 2.0),
                   PhysParams(1, s, 1.0, 2 * s - 1),
