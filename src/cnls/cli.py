@@ -2,8 +2,11 @@
 outputs.
 
 Exit codes: 0 success; 2 when an input lies outside the model's or the
-command's range (a DomainError, or a flag argparse rejects); 1 for any other
-failure, numerical or an invariant check.  CSV bodies use 17-significant-digit
+command's range (a DomainError, or a flag argparse rejects); 1 when the
+computation on valid input fails (any other NumericsError: no convergence,
+no root bracket, a value beyond the float range) or an invariant check
+fails.  An exception the package does not raise also exits 1, and its
+message says it was unexpected.  CSV bodies use 17-significant-digit
 decimals so identical flags produce byte-identical files; each --out run
 writes a manifest.json next to its data.
 """
@@ -29,7 +32,7 @@ from pathlib import Path
 from . import __version__
 from .moments import (PhysParams, moment_closed, moment_printed,
                       moment_quadrature, sobolev_constant)
-from .numerics import DomainError, _linspace, _map_jobs
+from .numerics import DomainError, NumericsError, _linspace, _map_jobs
 
 
 def __getattr__(name):
@@ -435,8 +438,11 @@ def main(argv=None) -> int:
     except DomainError as e:  # input outside the model's or command's range
         sys.stderr.write(f"error: {e}\n")
         return 2
-    except Exception as e:  # any other failure: numerical or invariant
+    except NumericsError as e:  # valid input, failed computation
         sys.stderr.write(f"failure: {type(e).__name__}: {e}\n")
+        return 1
+    except Exception as e:  # not raised by the package: I/O, or a defect
+        sys.stderr.write(f"failure: unexpected {type(e).__name__}: {e}\n")
         return 1
 
 

@@ -31,7 +31,8 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, NamedTuple
 
-from .numerics import DomainError, _Record, beta, integrate_halfline, ln_gamma
+from .numerics import (DomainError, NumericsError, _Record, beta,
+                       integrate_halfline, ln_gamma)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -86,7 +87,8 @@ def moment_closed(j: float, params: PhysParams) -> float:
 
     j - a is formed as (2sj - n)/(2s), not from the rounded a: near s = n/2
     the difference j - a would otherwise carry a's rounding, a relative
-    error of about 1e-16/(j - a) that B passes on.
+    error of about 1e-16/(j - a) that B passes on.  A moment beyond the
+    float range is a NumericsError.
     """
     n, s, om = params.n, params.s, params.omega
     a = params.a
@@ -94,7 +96,14 @@ def moment_closed(j: float, params: PhysParams) -> float:
     if not j_minus_a > 0:
         raise DomainError(f"requires j > n/(2s) = {a}, got j = {j}")
     pref = sphere_area(n) / ((2.0 * math.pi) ** n * 2.0 * s)
-    return pref * om ** (a - j) * beta(a, j_minus_a)
+    try:
+        m = pref * om ** (a - j) * beta(a, j_minus_a)
+    except OverflowError:  # omega^{a-j} or a Gamma value beyond a float
+        m = math.inf
+    if not math.isfinite(m):
+        raise NumericsError(f"moment M_{j:g} leaves the float range at "
+                            f"omega = {om:g}, a - j = {a - j:g}")
+    return m
 
 
 def sobolev_constant(params: PhysParams) -> float:

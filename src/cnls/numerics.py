@@ -2,11 +2,15 @@
 rule (the package's one half-line integrator), log-Gamma/Beta, root finding
 by bisection of a sign-changing bracket (the package's one root finder),
 numpy's linspace in plain Python, the `--jobs` process map, and the
-package's one exception hierarchy.
+package's three exception classes.
 
-Every failure the package raises is a NumericsError.  A DomainError means a
-value from the caller lies outside the model's or the command's range (the
-CLI exits 2); every other failure is numerical (the CLI exits 1).
+Every failure the package raises is a NumericsError, and two classes decide
+the CLI's exit code.  A DomainError means a value from the caller lies
+outside the model's or the command's range (the CLI exits 2).  A plain
+NumericsError means the computation on valid input failed: a quadrature or
+iteration that does not converge, a root search with no bracket, or a value
+that leaves the float range (the CLI exits 1).  BlowUp is the NumericsError
+of a simulated field that became non-finite; it carries the time t.
 
 All routines are pure functions; nothing here holds mutable state.  The
 module imports without numpy: numpy loads on the first quadrature call, and
@@ -26,30 +30,6 @@ class NumericsError(Exception):
 
 
 class DomainError(NumericsError):
-    pass
-
-
-class UnsupportedDimension(DomainError):
-    pass
-
-
-class NotApplicable(DomainError):
-    pass
-
-
-class NonConvergence(NumericsError):
-    pass
-
-
-class NoSignChange(NumericsError):
-    pass
-
-
-class GridTooCoarse(NumericsError):
-    pass
-
-
-class RootSearchInconclusive(NumericsError):
     pass
 
 
@@ -94,7 +74,7 @@ def integrate_halfline(f, rel_tol: float):
     as 0.  If the outermost non-zero term of a step's nodes on either side
     still exceeds rel_tol |sum|, the integrand has not decayed inside the
     window (its tail is too slow, or it overflowed to 0 first) and
-    NonConvergence is raised.
+    NumericsError is raised.
     """
     import numpy as np
 
@@ -109,7 +89,7 @@ def integrate_halfline(f, rel_tol: float):
         nonzero = g[g != 0.0]
         if nonzero.size and h * max(abs(nonzero[0]), abs(nonzero[-1])) \
                 > rel_tol * abs(total):
-            raise NonConvergence(
+            raise NumericsError(
                 "integrand has not decayed at the ends of the exp-sinh window "
                 "(tail too slow, or overflow before decay)")
 
@@ -131,7 +111,7 @@ def integrate_halfline(f, rel_tol: float):
         if err <= rel_tol * abs(value):
             return value, err
         prev = value
-    raise NonConvergence(
+    raise NumericsError(
         f"exp-sinh sums still differ by {err:g} at step {h:g}")
 
 
@@ -173,8 +153,8 @@ def find_root(f, lo: float, hi: float, tol: float) -> float:
     # compare signs, not products: a product of two tiny values underflows
     # to zero and would steer the bracket the wrong way
     if (flo < 0) == (fhi < 0):
-        raise NoSignChange(f"f({lo})={flo:g} and f({hi})={fhi:g} "
-                           "have the same sign")
+        raise NumericsError(f"f({lo})={flo:g} and f({hi})={fhi:g} "
+                            "have the same sign")
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:  # bracket is down to adjacent floats

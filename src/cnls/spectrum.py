@@ -19,8 +19,8 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from .moments import (FourierGrid, PhysParams, discrete_moment, grid_sum,
                       moment_closed, sobolev_constant, sphere_area)
-from .numerics import (DomainError, NonConvergence, NotApplicable,
-                       RootSearchInconclusive, find_root, integrate_halfline)
+from .numerics import (DomainError, NumericsError, find_root,
+                       integrate_halfline)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -73,7 +73,7 @@ def bound_state(mu: float, params: PhysParams) -> BoundState:
     try:
         eig = -params.omega * math.expm1(math.log(mu / c2) / (1.0 - params.a))
     except OverflowError:
-        raise NonConvergence(
+        raise NumericsError(
             f"bound-state eigenvalue of L_mu (L+ at mu = (2 sigma + 1) c^2) "
             f"overflows a float: mu/c^2 = {mu / c2:g} raised to 1/(1-a) = "
             f"{1.0 / (1.0 - params.a):g}") from None
@@ -95,12 +95,21 @@ def vk_quantity(params: PhysParams) -> float:
     it to Q = M_1 (1 - a) a (sigma - sigma*) / (2 sigma omega^2): one moment
     times the difference sigma - sigma* that stability_regime reads, so the
     sign of Q is the classification's and nothing cancels near sigma*.  The
-    three-moment form is verify's independent oracle for it.
+    three-moment form is verify's independent oracle for it.  A Q beyond
+    the float range (2 sigma omega^2 underflows at omega < 1e-162) is a
+    NumericsError.
     """
     n, s, om, sig = params
     one_minus_a = (2.0 * s - n) / (2.0 * s)
-    return (moment_closed(1.0, params) * one_minus_a * params.a
-            * (sig - sigma_critical(params)) / (2.0 * sig * om * om))
+    num = (moment_closed(1.0, params) * one_minus_a * params.a
+           * (sig - sigma_critical(params)))
+    den = 2.0 * sig * om * om
+    q = num / den if den else math.inf
+    if not math.isfinite(q):
+        raise NumericsError(
+            f"Vakhitov-Kolokolov quantity Q leaves the float range: "
+            f"2 sigma omega^2 = {den:g} at omega = {om:g}")
+    return q
 
 
 def stability_regime(params: PhysParams) -> str:
@@ -191,7 +200,7 @@ def unstable_eigenvalue(params: PhysParams) -> float | None:
     while D(hi) < 0:
         hi *= 2.0
         if not math.isfinite(hi):
-            raise RootSearchInconclusive(
+            raise NumericsError(
                 "D stays negative up to the largest float: the unstable "
                 "eigenvalue is beyond it")
     return find_root(D, 1e-8 * om, hi, tol=1e-12 * om)
@@ -270,7 +279,7 @@ def oracle_unstable_eigenvalue(params: PhysParams, near: float) -> float:
     lo, hi = near * (1.0 - ORACLE_ROOT_RTOL), near * (1.0 + ORACLE_ROOT_RTOL)
     d_lo, d_hi = D(lo), D(hi)
     if not d_lo < 0.0 < d_hi:
-        raise RootSearchInconclusive(
+        raise NumericsError(
             f"discrete D does not change sign from - to + across "
             f"[{lo:g}, {hi:g}]: D = {d_lo:g}, {d_hi:g}")
     mid = lo - d_lo * (hi - lo) / (d_hi - d_lo)
@@ -294,8 +303,8 @@ def coercivity_gap(params: PhysParams) -> float:
     the closed kappa = 2a(sigma* - sigma)/(2 - a), a = n/(2s)."""
     regime = stability_regime(params)
     if regime != "stable":
-        raise NotApplicable(f"coercivity gap requires the stable regime, "
-                            f"not {regime}")
+        raise DomainError(f"coercivity gap requires the stable regime, "
+                          f"not {regime}")
     grid = FourierGrid(half_length=15.0 * params.omega ** (-1.0 / (2 * params.s)),
                        modes=1024)
     d = grid.half_symbol(params.s) + params.omega

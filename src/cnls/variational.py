@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .moments import FourierGrid, PhysParams, sobolev_constant
-from .numerics import (DomainError, GridTooCoarse, NonConvergence, _map_jobs,
+from .numerics import (DomainError, NumericsError, _map_jobs,
                        integrate_halfline)
 
 # largest default grid: 2^22 modes, the size of the discretized spectrum
@@ -95,8 +95,8 @@ def petviashvili_solve(params: PhysParams, spec: MollifierSpec,
         raise DomainError("grid solves are implemented for n = 1 only")
     L, M, h = grid.half_length, grid.modes, grid.h
     if h > 1.0 / (8.0 * spec.scale):
-        raise GridTooCoarse(f"spacing {h:g} does not resolve mollifier "
-                            f"scale 1/{spec.scale:g}")
+        raise DomainError(f"spacing {h:g} does not resolve mollifier "
+                          f"scale 1/{spec.scale:g}")
     x = -L + h * np.arange(M)
     symbol = grid.symbol(params.s)
     om, sig = params.omega, params.sigma
@@ -118,7 +118,7 @@ def petviashvili_solve(params: PhysParams, spec: MollifierSpec,
             s_exit = abs(s_fac - 1.0)
             break
     else:
-        raise NonConvergence(f"no fixed point after {MAX_SWEEPS} sweeps")
+        raise NumericsError(f"no fixed point after {MAX_SWEEPS} sweeps")
 
     # normalize the constraint int V_N |u|^{2 sigma + 2} = 1
     cnorm = float(np.sum(vn * np.abs(u) ** (2 * sig + 2))) * h

@@ -10,13 +10,11 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .dynamics import (SimConfig, discrete_energy, discrete_mass, init_state,
                        step)
 from .moments import (PhysParams, moment_closed, moment_quadrature,
                       sobolev_constant)
-from .numerics import _map_jobs
+from .numerics import _linspace, _map_jobs
 from .spectrum import (DEGENERACY_TOL, ORACLE_ROOT_RTOL, bound_state,
                        classify, default_grid, eigen_determinant,
                        oracle_eigen_determinant, oracle_unstable_eigenvalue,
@@ -157,12 +155,11 @@ def check_stability_boundary() -> CheckResult:
     degenerate band around sigma* = 2s/n - 1 excluded."""
     bad = 0
     total = 0
+    sig_grid = _linspace(0.1, 4.0, 40)
     for n in (1, 2, 3):
-        s_grid = np.linspace(0.6 * n, 3.0 * n, 25)
-        sig_grid = np.linspace(0.1, 4.0, 40)
-        for s in s_grid:
+        for s in _linspace(0.6 * n, 3.0 * n, 25):
             for sig in sig_grid:
-                p = PhysParams(n=n, s=float(s), omega=1.0, sigma=float(sig))
+                p = PhysParams(n=n, s=s, omega=1.0, sigma=sig)
                 crit = sigma_critical(p)
                 if abs(sig - crit) <= DEGENERACY_TOL:
                     continue

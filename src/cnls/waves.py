@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 from .moments import PhysParams, moment_closed, moment_quadrature
 from .moments import sobolev_constant  # noqa: F401  (re-exported)
-from .numerics import DomainError, UnsupportedDimension, _linspace, ln_gamma
+from .numerics import DomainError, NumericsError, _linspace, ln_gamma
 
 # Green's function quadrature: exp-sinh nodes y = exp((pi/2) sinh t) on the
 # grid t = k h, |t| <= NODE_T_MAX, with step h at most NODE_STEP, on a ray
@@ -37,6 +37,10 @@ RAY_ANGLES = 128
 POLE_CLEARANCE = 0.25
 NODE_DROP = 1e-20
 DECAY_CUTOFF = 50.0
+# largest s of a pointwise value: the ray rule builds about 80 s nodes and
+# int(s) + 2 pole angles, so a 201-radius profile takes seconds at s = 1e3
+# and a larger s would exhaust time or memory before the first radius
+MAX_POINTWISE_S = 1e3
 
 # regimes of _hankel0e in |z|: power series below, Hankel asymptotic series
 # from HANKEL_ASYMPTOTIC, the K0 integral between
@@ -209,8 +213,11 @@ def greens_value(r: float, lam: float, params: PhysParams) -> float:
     """
     n, s = params.n, params.s
     if n not in (1, 2, 3):
-        raise UnsupportedDimension(
+        raise DomainError(
             f"pointwise evaluation supports n in {{1,2,3}}, got n={n}")
+    if s > MAX_POINTWISE_S:
+        raise DomainError(f"pointwise evaluation supports s <= "
+                          f"{MAX_POINTWISE_S:g}, got s={s}")
     if not (r >= 0 and lam > 0):
         raise DomainError("requires r >= 0 and lam > 0")
     if 0.0 < r < sys.float_info.min:
@@ -244,6 +251,20 @@ def greens_value(r: float, lam: float, params: PhysParams) -> float:
     return total.imag / (2.0 * math.pi ** 2 * r)
 
 
+def _power(base: float, exponent: float, name: str) -> float:
+    """base ** exponent for base > 0, or a NumericsError naming the
+    quantity if the power overflows or underflows to 0: the callers divide
+    by it or report it."""
+    try:
+        value = base ** exponent
+    except OverflowError:
+        value = math.inf
+    if not 0.0 < value < math.inf:
+        raise NumericsError(f"{name} leaves the float range: "
+                            f"{base:g} ** {exponent:g}")
+    return value
+
+
 def soliton_profile(radii, params: PhysParams) -> RadialProfile:
     """Solitary-wave profile phi(r) = G_s^omega(r) / M_1(omega)^{1+1/(2 sigma)}."""
     try:
@@ -252,12 +273,14 @@ def soliton_profile(radii, params: PhysParams) -> RadialProfile:
         radii = ()
     if len(radii) < 2 or radii[0] != 0.0:
         raise DomainError("radii must be a 1-d ascending grid starting at 0")
-    m1 = moment_closed(1.0, params)
-    norm = m1 ** (1.0 + 1.0 / (2.0 * params.sigma))
-    values = tuple(greens_value(r, params.omega, params) / norm
-                   for r in radii)
-    return RadialProfile(params=params, radii=radii, values=values,
-                         center_value=m1 ** (-1.0 / (2.0 * params.sigma)))
+    green = [greens_value(r, params.omega, params) for r in radii]
+    m1, sig = green[0], params.sigma  # G(0) = M_1
+    norm = _power(m1, 1.0 + 1.0 / (2.0 * sig),
+                  "profile norm M_1^(1 + 1/(2 sigma))")
+    center = _power(m1, -1.0 / (2.0 * sig), "phi(0) = M_1^(-1/(2 sigma))")
+    return RadialProfile(params=params, radii=radii,
+                         values=tuple(g / norm for g in green),
+                         center_value=center)
 
 
 def pohozaev_check(params: PhysParams, use_quadrature: bool = False) -> PohozaevReport:
@@ -274,11 +297,11 @@ def pohozaev_check(params: PhysParams, use_quadrature: bool = False) -> Pohozaev
     else:
         m1 = moment_closed(1.0, params)
         m2 = moment_closed(2.0, params)
-    phi0 = m1 ** (-1.0 / (2.0 * sig))
-    k2 = phi0 ** (2 * (2 * sig + 1))
+    phi0 = _power(m1, -1.0 / (2.0 * sig), "phi(0) = M_1^(-1/(2 sigma))")
+    k2 = _power(phi0, 2 * (2 * sig + 1), "K^2 = phi(0)^(4 sigma + 2)")
     mass = k2 * m2
     semi = k2 * (m1 - om * m2)
-    center_pow = phi0 ** (2 * sig + 2)
+    center_pow = _power(phi0, 2 * sig + 2, "phi(0)^(2 sigma + 2)")
 
     res_mass = abs(mass - (2 * s - n) / (2 * s * om) * center_pow) / center_pow
     res_semi = abs(semi - n / (2 * s) * center_pow) / center_pow

@@ -6,7 +6,7 @@ import pytest
 from cnls import numerics, variational
 from cnls.moments import FourierGrid, PhysParams
 from cnls.numerics import DomainError
-from cnls.variational import (MAX_DEFAULT_MODES, GridTooCoarse, MollifierSpec,
+from cnls.variational import (MAX_DEFAULT_MODES, MollifierSpec,
                               convergence_study, default_solve_grid,
                               mollifier_value, petviashvili_solve)
 from cnls.waves import sobolev_constant
@@ -87,7 +87,7 @@ class TestPetviashvili:
             default_solve_grid(CLASSICAL, MollifierSpec(scale=4000.0))
 
     def test_grid_too_coarse(self):
-        with pytest.raises(GridTooCoarse):
+        with pytest.raises(DomainError, match="does not resolve mollifier"):
             petviashvili_solve(CLASSICAL, MollifierSpec(scale=64.0),
                                grid=FourierGrid(half_length=40.0, modes=128))
 

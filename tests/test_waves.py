@@ -8,8 +8,8 @@ from scipy.special import hankel1e, kei
 
 from cnls.moments import PhysParams, moment_closed
 from cnls.numerics import DomainError
-from cnls.waves import (UnsupportedDimension, _hankel0e, _ray_rule,
-                        greens_value, pohozaev_check, sobolev_constant,
+from cnls.waves import (MAX_POINTWISE_S, _hankel0e, _ray_rule, greens_value,
+                        pohozaev_check, sobolev_constant,
                         sobolev_constant_printed_check, soliton_profile)
 
 CLASSICAL = PhysParams(n=1, s=1.0, omega=1.0, sigma=1.0)
@@ -142,7 +142,14 @@ class TestGreensFunction:
 
     def test_unsupported_dimension(self):
         p = PhysParams(n=4, s=3.0, omega=1.0, sigma=1.0)
-        with pytest.raises(UnsupportedDimension):
+        with pytest.raises(DomainError, match="supports n in"):
+            greens_value(1.0, 1.0, p)
+
+    def test_order_above_the_bound_is_rejected_before_any_node(self):
+        # the ray rule holds about 80 s nodes and int(s) + 2 pole angles
+        s = math.nextafter(MAX_POINTWISE_S, math.inf)
+        p = PhysParams(n=1, s=s, omega=1.0, sigma=1.0)
+        with pytest.raises(DomainError, match="supports s <="):
             greens_value(1.0, 1.0, p)
 
     def test_domain(self):
