@@ -28,7 +28,8 @@ from functools import cached_property
 import numpy as np
 
 from .moments import FourierGrid, PhysParams, discrete_moment
-from .numerics import BlowUp, DomainError
+from .numerics import (BlowUp, DomainError, _in_float_range,
+                       _inf_on_overflow)
 
 
 @dataclass(frozen=True)
@@ -73,8 +74,8 @@ class SimConfig:
         # resonance-stability threshold of the splitting: the fastest mode
         # must rotate by less than pi per step or the point coupling pumps
         # energy into it without bound
-        mu_max = _power(math.pi * self.modes / (2.0 * self.half_length),
-                        2.0 * params.s)
+        mu_max = _inf_on_overflow(pow, math.pi * self.modes
+                                  / (2.0 * self.half_length), 2.0 * params.s)
         if self.dt * mu_max >= math.pi:
             raise DomainError(
                 f"dt*mu_max = {self.dt * mu_max:.2f} >= pi: reduce dt below "
@@ -160,14 +161,6 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _power(x: float, p: float) -> float:
-    """x ** p for x >= 0, inf where the float power overflows."""
-    try:
-        return x ** p
-    except OverflowError:
-        return math.inf
-
-
 def centre_value(v, cfg: SimConfig) -> complex:
     """u at the centre node, read off the spectrum: <(-1)^k, v>/M."""
     return complex(np.dot(cfg.centre_sign, v)) / cfg.modes
@@ -182,7 +175,8 @@ def discrete_energy(v, cfg: SimConfig) -> float:
     """h/(2M) sum symbol |v|^2 - |u(j0)|^{2 sigma + 2}/(2 sigma + 2)."""
     kin = 0.5 * cfg.h / cfg.modes * np.vdot(v, cfg.symbol * v).real
     sig = cfg.params.sigma
-    pot = _power(abs(centre_value(v, cfg)), 2 * sig + 2) / (2 * sig + 2)
+    pot = _inf_on_overflow(pow, abs(centre_value(v, cfg)),
+                           2 * sig + 2) / (2 * sig + 2)
     return kin - pot
 
 
@@ -204,7 +198,10 @@ def _wave_spectrum(cfg: SimConfig) -> np.ndarray:
     om, sig = cfg.params.omega, cfg.params.sigma
     s_disc = discrete_moment(1, cfg.grid.half_symbol(cfg.params.s) + om,
                              cfg.grid)
-    amp = s_disc ** (-(2 * sig + 1) / (2 * sig))
+    amp = _in_float_range(
+        _inf_on_overflow(pow, s_disc, -(2 * sig + 1) / (2 * sig)),
+        "wave amplitude S_1^(-(2 sigma + 1)/(2 sigma))",
+        f"S_1 = {s_disc:g}, sigma = {sig:g}")
     return amp * _greens_spectrum(cfg, om)
 
 
@@ -254,7 +251,8 @@ def step(state: SimState, cfg: SimConfig) -> SimState:
     q = complex(np.dot(cfg.kick_row, v)) / cfg.modes
     # both substeps are isometries (max|u| <= sqrt(mass/h) for all time);
     # only an overflowing kick phase |u_j0|^{2 sigma} can spoil the field
-    theta = _power(abs(q), 2.0 * cfg.params.sigma) * cfg.dt / cfg.h
+    theta = (_inf_on_overflow(pow, abs(q), 2.0 * cfg.params.sigma)
+             * cfg.dt / cfg.h)
     if not math.isfinite(theta):
         raise BlowUp(state.t + cfg.dt)
     v = cfg.phase * v

@@ -31,8 +31,8 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, NamedTuple
 
-from .numerics import (DomainError, NumericsError, _Record, beta,
-                       integrate_halfline, ln_gamma)
+from .numerics import (DomainError, _in_float_range, _inf_on_overflow,
+                       _Record, beta, integrate_halfline, ln_gamma)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -69,8 +69,9 @@ class PhysParams(_Record, _PhysParamsFields):
 
     @property
     def a(self) -> float:
-        """The exponent a = n/(2s) in (0, 1)."""
-        return self.n / (2.0 * self.s)
+        """The exponent a = n/(2s) in (0, 1), formed as (n/2)/s: the same
+        float as n/(2s), and not 0 past s = 9e307, where 2s overflows."""
+        return 0.5 * self.n / self.s
 
 
 def sphere_area(n: int) -> float:
@@ -85,25 +86,23 @@ def moment_closed(j: float, params: PhysParams) -> float:
 
     M_j = |S^{n-1}| / ((2 pi)^n 2s) * omega^{n/(2s) - j} * B(n/(2s), j - n/(2s))
 
-    j - a is formed as (2sj - n)/(2s), not from the rounded a: near s = n/2
+    j - a is formed as (sj - n/2)/s, not from the rounded a: near s = n/2
     the difference j - a would otherwise carry a's rounding, a relative
-    error of about 1e-16/(j - a) that B passes on.  A moment beyond the
-    float range is a NumericsError.
+    error of about 1e-16/(j - a) that B passes on.  It is the float
+    (2sj - n)/(2s) with top and bottom halved, so sj may reach 1.8e308.
+    A moment whose factors leave the float range (omega^{a-j}, a Gamma
+    value, or the prefactor past s = 9e307) is a NumericsError.
     """
     n, s, om = params.n, params.s, params.omega
     a = params.a
-    j_minus_a = (2.0 * s * j - n) / (2.0 * s)
+    j_minus_a = (s * j - 0.5 * n) / s
     if not j_minus_a > 0:
         raise DomainError(f"requires j > n/(2s) = {a}, got j = {j}")
     pref = sphere_area(n) / ((2.0 * math.pi) ** n * 2.0 * s)
-    try:
-        m = pref * om ** (a - j) * beta(a, j_minus_a)
-    except OverflowError:  # omega^{a-j} or a Gamma value beyond a float
-        m = math.inf
-    if not math.isfinite(m):
-        raise NumericsError(f"moment M_{j:g} leaves the float range at "
-                            f"omega = {om:g}, a - j = {a - j:g}")
-    return m
+    m = (pref * _inf_on_overflow(pow, om, a - j)
+         * _inf_on_overflow(beta, a, j_minus_a))
+    return _in_float_range(m, "moment M_{j:g}", "s = {s}, omega = {om:g}",
+                           j=j, s=s, om=om)
 
 
 def sobolev_constant(params: PhysParams) -> float:
@@ -133,6 +132,8 @@ def moment_quadrature(j: float, params: PhysParams) -> float:
     of the unit density (1 + u)^{-2} / rho0, inside the integrand, so the
     rule's tolerance is relative to M_j itself: f - T + (f0/e) (1 + u)^{-2}
     has integral M_j / |S^{n-1}| and decays like rho^{-2} for every e > 0.
+    Its scales (2 pi)^{2s} and omega^j, and the moment itself, must be
+    floats, or it is a NumericsError.
     """
     a = params.a
     if j <= a:
@@ -142,10 +143,14 @@ def moment_quadrature(j: float, params: PhysParams) -> float:
     # rho^{n-1} / ((2 pi rho)^{2s} + om)^j with rho^{(n-1)/j} divided into
     # the base: no power overflows until the term is far below the sum
     b = (n - 1) / j
-    c = (2.0 * math.pi) ** (2.0 * s)
+    quantity = f"quadrature moment M_{j:g}"
+    c = _in_float_range(_inf_on_overflow(pow, 2.0 * math.pi, 2.0 * s),
+                        quantity, f"(2 pi)^(2s) at s = {s:g}")
     e = 2.0 * s * j - n
     rho0 = om ** (1.0 / (2.0 * s)) / (2.0 * math.pi)
-    f0 = rho0 ** (n - 1) / om ** j
+    f0 = rho0 ** (n - 1) / _in_float_range(
+        _inf_on_overflow(pow, om, j), quantity,
+        f"omega^j at omega = {om:g}, j = {j:g}")
 
     def integrand(rho):
         u1 = 1.0 + rho / rho0
@@ -153,7 +158,8 @@ def moment_quadrature(j: float, params: PhysParams) -> float:
                 - f0 * u1 ** (-1.0 - e) + (f0 / e) / (u1 * u1))
 
     value, _ = integrate_halfline(integrand, rel_tol=1e-13)
-    return sphere_area(n) * value
+    return _in_float_range(sphere_area(n) * value, quantity,
+                           f"s = {s}, omega = {om:g}")
 
 
 class _FourierGridFields(NamedTuple):

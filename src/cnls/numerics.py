@@ -2,7 +2,7 @@
 rule (the package's one half-line integrator), log-Gamma/Beta, root finding
 by bisection of a sign-changing bracket (the package's one root finder),
 numpy's linspace in plain Python, the `--jobs` process map, and the
-package's three exception classes.
+package's three exception classes and one float-range rule.
 
 Every failure the package raises is a NumericsError, and two classes decide
 the CLI's exit code.  A DomainError means a value from the caller lies
@@ -37,6 +37,24 @@ class BlowUp(NumericsError):
     def __init__(self, t):
         super().__init__(f"non-finite field at t={t:g}")
         self.t = t
+
+
+def _inf_on_overflow(f, *args) -> float:
+    """f(*args), or inf where Python raises OverflowError (or, at a pole
+    like 0 ** -1, ZeroDivisionError) for a float function f >= 0."""
+    try:
+        return f(*args)
+    except (OverflowError, ZeroDivisionError):
+        return math.inf
+
+
+def _in_float_range(value: float, quantity: str, detail: str, **fields):
+    """value, or a NumericsError naming the quantity if value is inf, NaN
+    or 0; quantity and detail are str.format templates over fields."""
+    if not 0.0 < abs(value) < math.inf:  # NaN fails this too
+        raise NumericsError(f"{quantity} leaves the float range: {detail}"
+                            .format(**fields))
+    return value
 
 
 class _Record:

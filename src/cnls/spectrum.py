@@ -19,8 +19,8 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from .moments import (FourierGrid, PhysParams, discrete_moment, grid_sum,
                       moment_closed, sobolev_constant, sphere_area)
-from .numerics import (DomainError, NumericsError, find_root,
-                       integrate_halfline)
+from .numerics import (DomainError, NumericsError, _in_float_range,
+                       _inf_on_overflow, find_root, integrate_halfline)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -70,13 +70,11 @@ def bound_state(mu: float, params: PhysParams) -> BoundState:
     c2 = sobolev_constant(params)
     if math.isclose(mu, c2, rel_tol=1e-14):
         return BoundState(eigenvalue=0.0, mu=mu, regime="at_c2", eigfn_shift=0.0)
-    try:
-        eig = -params.omega * math.expm1(math.log(mu / c2) / (1.0 - params.a))
-    except OverflowError:
-        raise NumericsError(
-            f"bound-state eigenvalue of L_mu (L+ at mu = (2 sigma + 1) c^2) "
-            f"overflows a float: mu/c^2 = {mu / c2:g} raised to 1/(1-a) = "
-            f"{1.0 / (1.0 - params.a):g}") from None
+    eig = _in_float_range(-params.omega * _inf_on_overflow(
+        math.expm1, math.log(mu / c2) / (1.0 - params.a)),
+        "bound-state eigenvalue of L_mu (L+ at mu = (2 sigma + 1) c^2)",
+        "mu/c^2 = {r:g} raised to 1/(1-a) = {p:g}, omega = {om:g}",
+        r=mu / c2, p=1.0 / (1.0 - params.a), om=params.omega)
     return BoundState(eigenvalue=eig, mu=mu,
                       regime="above_c2" if mu > c2 else "below_c2",
                       eigfn_shift=abs(eig))
@@ -96,20 +94,19 @@ def vk_quantity(params: PhysParams) -> float:
     times the difference sigma - sigma* that stability_regime reads, so the
     sign of Q is the classification's and nothing cancels near sigma*.  The
     three-moment form is verify's independent oracle for it.  A Q beyond
-    the float range (2 sigma omega^2 underflows at omega < 1e-162) is a
-    NumericsError.
+    the float range, or at sigma*, where Q = 0, its scale, is a NumericsError.
     """
     n, s, om, sig = params
     one_minus_a = (2.0 * s - n) / (2.0 * s)
-    num = (moment_closed(1.0, params) * one_minus_a * params.a
-           * (sig - sigma_critical(params)))
+    num = moment_closed(1.0, params) * one_minus_a * params.a
+    gap = sig - sigma_critical(params)
     den = 2.0 * sig * om * om
-    q = num / den if den else math.inf
-    if not math.isfinite(q):
-        raise NumericsError(
-            f"Vakhitov-Kolokolov quantity Q leaves the float range: "
-            f"2 sigma omega^2 = {den:g} at omega = {om:g}")
-    return q
+    # |Q|, or at gap = 0 the scale num/den; 1/den is inf where den underflows
+    _in_float_range(num * abs(gap or 1.0) * _inf_on_overflow(pow, den, -1.0),
+                    "Vakhitov-Kolokolov quantity Q",
+                    "2 sigma omega^2 = {den:g} at omega = {om:g}, "
+                    "sigma - sigma* = {gap:g}", den=den, om=om, gap=gap)
+    return num * gap / den
 
 
 def stability_regime(params: PhysParams) -> str:
@@ -134,8 +131,11 @@ def eigen_determinant(lam: float, params: PhysParams) -> float:
 
     Re w - 1 is formed from expm1 and sin^2, without cancellation, so D
     keeps its sign down to lambda ~ 1e-8 omega, where both of its terms are
-    O(lambda^2) ~ 1e-16.  Past |x| = 1e150, where x^2 nears overflow,
-    log1p(x^2) is taken as 2 log|x| + log1p(x^-2).
+    O(lambda^2) ~ 1e-16.  The second factor is b Re w - 1 with
+    Re w = e^u cos v, not b (Re w - 1) + b - 1: at large sigma the root has
+    Re w ~ 1/b, and that form would cancel b against b.  Past
+    |x| = 1e150, where x^2 nears overflow, log1p(x^2) is taken as
+    2 log|x| + log1p(x^-2).
     """
     x = lam / params.omega
     am1 = params.a - 1.0
@@ -145,10 +145,11 @@ def eigen_determinant(lam: float, params: PhysParams) -> float:
         log_mod2 = 2.0 * math.log(abs(x)) + math.log1p(x ** -2)
     u = 0.5 * am1 * log_mod2
     v = -am1 * math.atan(x)
-    re_m1 = math.expm1(u) * math.cos(v) - 2.0 * math.sin(0.5 * v) ** 2
-    im = math.exp(u) * math.sin(v)
+    cos_v, exp_u = math.cos(v), math.exp(u)
+    re_m1 = math.expm1(u) * cos_v - 2.0 * math.sin(0.5 * v) ** 2
+    im = exp_u * math.sin(v)
     b = 2.0 * params.sigma + 1.0
-    return re_m1 * (b * re_m1 + b - 1.0) + b * im * im
+    return re_m1 * (b * exp_u * cos_v - 1.0) + b * im * im
 
 
 def _im_il(lam: float, params: PhysParams):
@@ -209,7 +210,10 @@ def unstable_eigenvalue(params: PhysParams) -> float | None:
 def classify(params: PhysParams, want_unstable_lambda: bool = True) -> SpectralReport:
     """Full spectral report: VK quantity, index counts, classification."""
     c2 = sobolev_constant(params)
-    mu_plus = (2 * params.sigma + 1) * c2
+    mu_plus = _in_float_range((2 * params.sigma + 1) * c2,
+                              "mu_+ = (2 sigma + 1) c^2",
+                              "sigma = {sig:g}, c^2 = {c2:g}",
+                              sig=params.sigma, c2=c2)
     lplus = bound_state(mu_plus, params).eigenvalue
     regime = stability_regime(params)
     lam_star = None

@@ -23,7 +23,8 @@ from typing import NamedTuple
 
 from .moments import PhysParams, moment_closed, moment_quadrature
 from .moments import sobolev_constant  # noqa: F401  (re-exported)
-from .numerics import DomainError, NumericsError, _linspace, ln_gamma
+from .numerics import (DomainError, _in_float_range, _inf_on_overflow,
+                       _linspace, ln_gamma)
 
 # Green's function quadrature: exp-sinh nodes y = exp((pi/2) sinh t) on the
 # grid t = k h, |t| <= NODE_T_MAX, with step h at most NODE_STEP, on a ray
@@ -152,7 +153,9 @@ def _ray_rule(n: int, s: float, lam: float) -> _RayRule:
     n = 1 and 1 otherwise, I(r) = sum_j g_j E(k_j r) + sum_p c_p E(k_p r),
     g_j = e^{i theta} w_j k_j^m / (k_j^{2s} + lam) over the exp-sinh nodes
     k_j = kappa y_j e^{i theta} (w_j including kappa), and
-    c_p = 2 pi i (-k_p^{m+1} / (2 s lam)) over the swept poles."""
+    c_p = 2 pi i (-k_p^{m+1} / (2 s lam)) over the swept poles.  A kept
+    node k_j beyond the float range would make the sum NaN at every radius,
+    so it is a NumericsError here, once per (n, s, lam)."""
     m = 0 if n == 1 else 1
     kappa = lam ** (1.0 / (2.0 * s))
     alpha = [math.pi * (2.0 * j + 1.0) / (2.0 * s) for j in range(int(s) + 2)]
@@ -181,10 +184,17 @@ def _ray_rule(n: int, s: float, lam: float) -> _RayRule:
         # terms |g| |expm1(ikr)| <= |g| y kappa r by r
         nodes.append((turn * y, g, abs(g) * (max(1.0, y) if n == 3 else 1.0)))
     floor = NODE_DROP * max(bound for _, _, bound in nodes)
+    kept = tuple((k, g) for k, g, bound in nodes if bound > floor)
+    # |k| grows along the ray, so the last kept node is the largest, and
+    # |Re k| + |Im k| is finite only if both parts are
+    top = kept[-1][0]
+    _in_float_range(abs(top.real) + abs(top.imag),
+                    "Green's function node k = kappa y e^(i theta)",
+                    f"kappa = {kappa:g} at n = {n}, s = {s}, lam = {lam:g}")
 
     poles = [kappa * cmath.exp(1j * a) for a in alpha if a < theta]
     return _RayRule(
-        theta, kappa, tuple((k, g) for k, g, bound in nodes if bound > floor),
+        theta, kappa, kept,
         tuple((k, -1j * math.pi * k ** (m + 1) / (s * lam)) for k in poles))
 
 
@@ -251,20 +261,6 @@ def greens_value(r: float, lam: float, params: PhysParams) -> float:
     return total.imag / (2.0 * math.pi ** 2 * r)
 
 
-def _power(base: float, exponent: float, name: str) -> float:
-    """base ** exponent for base > 0, or a NumericsError naming the
-    quantity if the power overflows or underflows to 0: the callers divide
-    by it or report it."""
-    try:
-        value = base ** exponent
-    except OverflowError:
-        value = math.inf
-    if not 0.0 < value < math.inf:
-        raise NumericsError(f"{name} leaves the float range: "
-                            f"{base:g} ** {exponent:g}")
-    return value
-
-
 def soliton_profile(radii, params: PhysParams) -> RadialProfile:
     """Solitary-wave profile phi(r) = G_s^omega(r) / M_1(omega)^{1+1/(2 sigma)}."""
     try:
@@ -275,9 +271,11 @@ def soliton_profile(radii, params: PhysParams) -> RadialProfile:
         raise DomainError("radii must be a 1-d ascending grid starting at 0")
     green = [greens_value(r, params.omega, params) for r in radii]
     m1, sig = green[0], params.sigma  # G(0) = M_1
-    norm = _power(m1, 1.0 + 1.0 / (2.0 * sig),
-                  "profile norm M_1^(1 + 1/(2 sigma))")
-    center = _power(m1, -1.0 / (2.0 * sig), "phi(0) = M_1^(-1/(2 sigma))")
+    at = f"M_1 = {m1:g}, sigma = {sig:g}"
+    norm = _in_float_range(_inf_on_overflow(pow, m1, 1.0 + 1.0 / (2.0 * sig)),
+                           "profile norm M_1^(1 + 1/(2 sigma))", at)
+    center = _in_float_range(_inf_on_overflow(pow, m1, -1.0 / (2.0 * sig)),
+                             "phi(0) = M_1^(-1/(2 sigma))", at)
     return RadialProfile(params=params, radii=radii,
                          values=tuple(g / norm for g in green),
                          center_value=center)
@@ -297,11 +295,15 @@ def pohozaev_check(params: PhysParams, use_quadrature: bool = False) -> Pohozaev
     else:
         m1 = moment_closed(1.0, params)
         m2 = moment_closed(2.0, params)
-    phi0 = _power(m1, -1.0 / (2.0 * sig), "phi(0) = M_1^(-1/(2 sigma))")
-    k2 = _power(phi0, 2 * (2 * sig + 1), "K^2 = phi(0)^(4 sigma + 2)")
+    at = f"M_1 = {m1:g}, sigma = {sig:g}"
+    phi0 = _in_float_range(_inf_on_overflow(pow, m1, -1.0 / (2.0 * sig)),
+                           "phi(0) = M_1^(-1/(2 sigma))", at)
+    k2 = _in_float_range(_inf_on_overflow(pow, phi0, 2 * (2 * sig + 1)),
+                         "K^2 = phi(0)^(4 sigma + 2)", at)
     mass = k2 * m2
     semi = k2 * (m1 - om * m2)
-    center_pow = _power(phi0, 2 * sig + 2, "phi(0)^(2 sigma + 2)")
+    center_pow = _in_float_range(_inf_on_overflow(pow, phi0, 2 * sig + 2),
+                                 "phi(0)^(2 sigma + 2)", at)
 
     res_mass = abs(mass - (2 * s - n) / (2 * s * om) * center_pow) / center_pow
     res_semi = abs(semi - n / (2 * s) * center_pow) / center_pow

@@ -11,7 +11,7 @@ from cnls.dynamics import (SimConfig, SimState, _hs_norm, _wave_spectrum,
                            init_state, modulated_distance, run_experiment,
                            step)
 from cnls.moments import PhysParams
-from cnls.numerics import DomainError
+from cnls.numerics import DomainError, NumericsError
 
 STABLE = PhysParams(n=1, s=1.0, omega=1.0, sigma=0.5)
 DEGEN = PhysParams(n=1, s=1.0, omega=1.0, sigma=1.0)
@@ -75,6 +75,13 @@ class TestDiscreteWave:
             offsets.append(abs(mass - 2.0) + abs(comb - 1.0))
         assert offsets[0] > offsets[1] > offsets[2]
         assert offsets[2] < 0.05
+
+    def test_amplitude_beyond_the_float_range(self):
+        # S_1^{-(2 sigma + 1)/(2 sigma)} ~ 2^5001 at sigma = 1e-4
+        cfg = _cfg(PhysParams(n=1, s=1.0, omega=1.0, sigma=1e-4))
+        with pytest.raises(NumericsError, match="wave amplitude .* leaves "
+                                                "the float range"):
+            run_experiment(cfg)
 
     def test_perturbation_scales_distance(self):
         cfg = _cfg(STABLE, eps=0.01, shape="greens-bump")

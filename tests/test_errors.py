@@ -8,9 +8,12 @@ NumericsError.
 """
 
 import ast
+import csv
 import importlib
 import inspect
+import io
 import pkgutil
+import re
 from pathlib import Path
 
 import pytest
@@ -92,9 +95,32 @@ FLOAT_RANGE = [
       "--sigma-range", "0.5:1:2"], "Vakhitov-Kolokolov quantity Q"),
     (["constants", "--omega", "1e-300"], "moment M_2"),
     (["pohozaev", "--sigma", "1e-300"], "phi(0) = M_1^(-1/(2 sigma))"),
-    (["pohozaev", "--omega", "1e300"], "K^2 = phi(0)^(4 sigma + 2)"),
+    # M_2 ~ omega^{-3/2} underflows to 0
+    (["pohozaev", "--omega", "1e300"], "moment M_2"),
+    (["pohozaev", "--sigma", "5e-4"], "K^2 = phi(0)^(4 sigma + 2)"),
     (["profile", "--sigma", "1e-300", "--r-range", "0:1:3"],
      "profile norm M_1^(1 + 1/(2 sigma))"),
+    # 2s overflows, and with it the Beta form's prefactor
+    (["constants", "--s", "1e308"], "moment M_1"),
+    (["spectrum", "--s", "1e308"], "moment M_1"),
+    # the quadrature's scales (2 pi)^{2s} and omega^j, and its value at a
+    # subnormal omega
+    (["constants", "--s", "1000"], "quadrature moment M_1"),
+    (["pohozaev", "--quadrature", "--omega", "1e-300"],
+     "quadrature moment M_2"),
+    (["pohozaev", "--quadrature", "--s", "100", "--omega", "1e-320"],
+     "quadrature moment M_1"),
+    (["spectrum", "--omega", "1e100", "--sigma", "1e300"],
+     "mu_+ = (2 sigma + 1) c^2"),
+    # omega (mu/c^2)^{1/(1-a)} overflows though the power alone does not
+    (["spectrum", "--omega", "1e10", "--sigma", "1e150"],
+     "bound-state eigenvalue of L_mu (L+ at mu = (2 sigma + 1) c^2)"),
+    # 2 sigma omega^2 overflows: Q would read 0 beside "unstable"
+    (["spectrum", "--omega", "1e300", "--sigma", "2"],
+     "Vakhitov-Kolokolov quantity Q"),
+    # 58 of the ray rule's 290 nodes k overflow: every r > 0 would be NaN
+    (["profile", "--n", "1", "--s", "0.5000001", "--omega", "1e300",
+      "--r-range", "0:1:3"], "Green's function node k = kappa y e^(i theta)"),
 ]
 
 EXIT_CODES = [
@@ -142,6 +168,68 @@ def test_float_range_failure_names_the_quantity(capsys, argv, quantity):
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert f"NumericsError: {quantity} leaves the float range" in err
+
+
+def _sweep():
+    """cli argv over n in {1, 3}, s from n/2 (1 + 2e-7) to 1000, and omega
+    and sigma at both ends of the float range: valid input throughout."""
+    ends = ("1e-300", "1", "1e300")
+    for n in (1, 3):
+        for s in (n / 2 * (1 + 2e-7), float(n), 100.0, 1000.0):
+            at = ["--n", str(n), "--s", repr(s)]
+            for om in ends:
+                yield ["constants", *at, "--omega", om]
+                for sig in ends:
+                    p = [*at, "--omega", om, "--sigma", sig]
+                    yield ["spectrum", *p]
+                    yield ["pohozaev", *p]
+                    yield ["pohozaev", "--quadrature", *p]
+                    if s <= 100:  # the ray rule is slow to build at s = 1e3
+                        yield ["profile", *p, "--r-range", "0:2:5"]
+                    yield ["stability-map", "--n", str(n), "--omega", om,
+                           "--s-range", f"{s!r}:{s!r}:1", "--sigma-range",
+                           f"{sig}:{sig}:1", "--with-lambda"]
+
+
+def _q_and_label(command, out):
+    rows = list(csv.reader(io.StringIO(out)))
+    if command == "spectrum":
+        fields = dict(rows[1:])
+        return float(fields["vk_quantity"]), fields["classification"]
+    if command == "stability-map":
+        cell = dict(zip(*rows))
+        return float(cell["Q"]), cell["classification"]
+    return None, None
+
+
+def test_sweep_to_the_ends_of_the_float_range(capsys):
+    # each run exits by the rule, and a run that exits 0 printed only
+    # floats: no inf or nan, and Q = 0 only on a degenerate cell
+    bad = []
+    for argv in _sweep():
+        code = main(argv)
+        out, err = capsys.readouterr()
+        run = " ".join(argv)
+        if code not in (0, 1, 2) or "unexpected" in err:
+            bad.append(f"{run}: exit {code}, {err.strip()}")
+        elif code == 0:
+            q, label = _q_and_label(argv[0], out)
+            if re.search(r"\b(inf|nan)\b", out):
+                bad.append(f"{run}: prints inf or nan")
+            elif q == 0.0 and label != "degenerate":
+                bad.append(f"{run}: Q = 0 beside {label}")
+    assert not bad
+
+
+def test_float_range_rule_lives_in_numerics():
+    # only numerics turns an OverflowError into inf, and only its
+    # _in_float_range forms the failure's message
+    names = []
+    for path in sorted(Path(cnls.__file__).parent.glob("*.py")):
+        text = path.read_text()
+        if "OverflowError" in text or "leaves the float range" in text:
+            names.append(path.name)
+    assert names == ["numerics.py"]
 
 
 def test_exception_the_package_does_not_raise_exits_1(capsys, monkeypatch):

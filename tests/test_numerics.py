@@ -8,8 +8,9 @@ from hypothesis import given, settings, strategies as st
 from cnls import numerics
 from cnls.moments import PhysParams, moment_closed, moment_quadrature
 from cnls.numerics import (HALFLINE_STEP, HALFLINE_T_MAX, DomainError,
-                           NumericsError, _map_jobs, beta, find_root,
-                           integrate_halfline, ln_gamma)
+                           NumericsError, _in_float_range, _inf_on_overflow,
+                           _map_jobs, beta, find_root, integrate_halfline,
+                           ln_gamma)
 
 
 def expsinh_nodes(h: float, t_max: float):
@@ -134,6 +135,28 @@ class TestGammaBeta:
         lhs = beta(a + 1.0, b)
         rhs = beta(a, b) * a / (a + b)
         assert abs(lhs - rhs) < 1e-11 * abs(rhs)
+
+
+class TestFloatRange:
+    def test_inf_where_python_raises(self):
+        assert _inf_on_overflow(pow, 10.0, 400.0) == math.inf
+        assert _inf_on_overflow(pow, 0.0, -1.0) == math.inf
+        assert _inf_on_overflow(math.expm1, 1e3) == math.inf
+        assert _inf_on_overflow(beta, 1e-310, 1.0) == math.inf
+        assert _inf_on_overflow(pow, 2.0, 3.0) == 8.0
+        assert _inf_on_overflow(pow, 10.0, -400.0) == 0.0
+
+    @pytest.mark.parametrize("value", [1.5, -2.0, 5e-324, -1.7e308])
+    def test_a_float_passes(self, value):
+        assert _in_float_range(value, "x", "detail") == value
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, 0.0,
+                                       -0.0])
+    def test_inf_nan_and_zero_name_the_quantity(self, value):
+        with pytest.raises(NumericsError) as info:
+            _in_float_range(value, "x^{y:g}", "x = {x}", x=10, y=2.0)
+        assert str(info.value) == "x^2 leaves the float range: x = 10"
+        assert type(info.value) is NumericsError
 
 
 class TestFindRoot:

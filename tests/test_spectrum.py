@@ -159,6 +159,20 @@ class TestLinearizedEigenvalue:
         lam = unstable_eigenvalue(p)
         assert lam == pytest.approx(LAMBDA_STAR[sig], rel=1e-9)
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("sig", [2.0, 1e2, 1e4, 1e8, 1e50, 1e150])
+    def test_exact_root_at_s_equal_n(self, n, sig):
+        # at s = n (a = 1/2) D = 0 reduces, with r = |1 - i lam/omega|, to
+        # (b + r)^2 = (b + 1)^2 (r + 1)/2, b = 2 sigma + 1, whose root
+        # r = 2 sigma^2 - 1 is lam* = 2 omega sigma sqrt(sigma^2 - 1).  At
+        # the root Re w ~ 1/b, so b Re w - 1 must not be formed as
+        # b (Re w - 1) + b - 1.
+        for om in (0.2, 1.0, 5.0):
+            exact = 2.0 * om * sig * math.sqrt((sig - 1.0) * (sig + 1.0))
+            lam = unstable_eigenvalue(PhysParams(n=n, s=float(n), omega=om,
+                                                 sigma=sig))
+            assert abs(lam - exact) <= 1e-12 * om + 1e-13 * exact
+
     def test_stable_returns_none(self):
         # also at sigma = sigma* (degenerate): no real unstable eigenvalue
         for sig in (0.5, 1.0):
