@@ -14,6 +14,7 @@ writes a manifest.json next to its data.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import numbers
 import sys
@@ -341,8 +342,7 @@ def cmd_verify(args) -> int:
 
 
 def vars_of(args) -> dict:
-    return {k: v for k, v in vars(args).items()
-            if k not in ("func",) and v is not None}
+    return {k: v for k, v in vars(args).items() if v is not None}
 
 
 # ---------------------------------------------------------------------------
@@ -392,35 +392,36 @@ _FLAGS = {
 _PARAMS = "--n --s --omega --sigma"
 
 
-def _command(sub, name, func, about, flags, **defaults):
+def _command(sub, name, about, flags, **defaults):
     c = sub.add_parser(name, help=about)
     for flag in flags.split():
         c.add_argument(flag, **_FLAGS[flag])
-    c.set_defaults(func=func, **defaults)
+    c.set_defaults(**defaults)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process (a parse leaves it unchanged).
+    It holds no command function: main looks each one up by name."""
     parser = _Parser(prog="cnls", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=_Parser)
-    _command(sub, "constants", cmd_constants, "moment integrals and the "
-             "sharp embedding constant", "--format --out --n --s --omega",
+    _command(sub, "constants", "moment integrals and the sharp embedding "
+             "constant", "--format --out --n --s --omega",
              sigma=1.0)  # M_j and c^2 do not depend on sigma
-    _command(sub, "profile", cmd_profile, "sample the solitary-wave profile",
+    _command(sub, "profile", "sample the solitary-wave profile",
              f"--format --out {_PARAMS} --r-range")
-    _command(sub, "pohozaev", cmd_pohozaev, "identity residual report",
+    _command(sub, "pohozaev", "identity residual report",
              f"--format --out --tol {_PARAMS} --quadrature")
-    _command(sub, "spectrum", cmd_spectrum, "spectral stability report",
+    _command(sub, "spectrum", "spectral stability report",
              f"--format --out {_PARAMS} --no-lambda")
-    _command(sub, "stability-map", cmd_stability_map, "classification sweep "
-             "over (s, sigma)", "--format --out --jobs --n --omega "
-             "--s-range --sigma-range --with-lambda")
-    _command(sub, "variational", cmd_variational, "mollified minimization "
-             "convergence study", f"--format --out --jobs {_PARAMS} --scales")
-    _command(sub, "simulate", cmd_simulate, "split-step time integration",
-             "--out --config")
-    _command(sub, "verify", cmd_verify, "run the full invariant suite",
-             "--out --jobs")
+    _command(sub, "stability-map", "classification sweep over (s, sigma)",
+             "--format --out --jobs --n --omega --s-range --sigma-range "
+             "--with-lambda")
+    _command(sub, "variational", "mollified minimization convergence study",
+             f"--format --out --jobs {_PARAMS} --scales")
+    _command(sub, "simulate", "split-step time integration", "--out --config")
+    _command(sub, "verify", "run the full invariant suite", "--out --jobs")
     return parser
 
 
@@ -433,8 +434,9 @@ def main(argv=None) -> int:
         parser.error(f"{argv[0].partition('=')[0]} goes after the command "
                      "name: cnls COMMAND [flags]")
     args = parser.parse_args(argv)
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return command(args)
     except DomainError as e:  # input outside the model's or command's range
         sys.stderr.write(f"error: {e}\n")
         return 2

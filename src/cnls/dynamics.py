@@ -14,8 +14,8 @@ theta = |q|^{2 sigma} dt/h.  With P = exp(-i symbol dt/2) the half phase,
 the whole step is v <- P^2 v + q (e^{i theta} - 1) P (-1)^k, where
 q = <P (-1)^k, v>/M is the centre value after the first half phase: one
 phase multiply per step.  The diagnostics (mass by Parseval, energy, centre
-modulus, modulated distance) read the spectrum as well; the field is an
-inverse FFT taken only when a caller asks for it.
+modulus, modulated distance) read the spectrum as well.  It is the whole
+state: `step` maps it to the next one, and `run_experiment` sums the time.
 """
 
 from __future__ import annotations
@@ -133,17 +133,6 @@ class SimConfig:
 
 
 @dataclass(frozen=True)
-class SimState:
-    t: float
-    spectrum: np.ndarray  # v = fft(u), complex, length = modes
-
-    @cached_property
-    def field(self) -> np.ndarray:
-        """The grid field u = ifft(v), computed once, on first read."""
-        return np.fft.ifft(self.spectrum)
-
-
-@dataclass(frozen=True)
 class TimeSeries:
     times: np.ndarray
     mass_drift: np.ndarray
@@ -227,9 +216,10 @@ def modulated_distance(v, phi, cfg: SimConfig) -> float:
     return math.sqrt(max(val, 0.0))
 
 
-def init_state(cfg: SimConfig, phi=None) -> SimState:
-    """The wave (spectrum phi, by default the exact discrete wave) plus the
-    configured perturbation, scaled to eps times the wave's H^s norm."""
+def init_state(cfg: SimConfig, phi=None) -> np.ndarray:
+    """Spectrum of the wave (spectrum phi, by default the exact discrete
+    wave) plus the configured perturbation, scaled to eps times the wave's
+    H^s norm."""
     if phi is None:
         phi = _wave_spectrum(cfg)
     v = phi.astype(complex)
@@ -241,23 +231,22 @@ def init_state(cfg: SimConfig, phi=None) -> SimState:
             raw = rng.standard_normal(cfg.modes) + 1j * rng.standard_normal(cfg.modes)
             bump = np.fft.fft(raw) * np.exp(-cfg.grid.symbol(1.0))
         v = v + bump * (cfg.eps * _hs_norm(phi, cfg) / _hs_norm(bump, cfg))
-    return SimState(0.0, v)
+    return v
 
 
-def step(state: SimState, cfg: SimConfig) -> SimState:
-    """One Strang step on the spectrum (half phase, rank-one kick, half
-    phase) as v <- P^2 v + q (e^{i theta} - 1) P (-1)^k."""
-    v = state.spectrum
+def step(v: np.ndarray, cfg: SimConfig) -> np.ndarray:
+    """The spectrum one Strang step (half phase, rank-one kick, half phase)
+    after v, as P^2 v + q (e^{i theta} - 1) P (-1)^k; v is left unchanged."""
     q = complex(np.dot(cfg.kick_row, v)) / cfg.modes
     # both substeps are isometries (max|u| <= sqrt(mass/h) for all time);
     # only an overflowing kick phase |u_j0|^{2 sigma} can spoil the field
     theta = (_inf_on_overflow(pow, abs(q), 2.0 * cfg.params.sigma)
              * cfg.dt / cfg.h)
     if not math.isfinite(theta):
-        raise BlowUp(state.t + cfg.dt)
+        raise BlowUp("non-finite kick phase |u(0)|^(2 sigma) dt/h")
     v = cfg.phase * v
     v += (q * (cmath.exp(1j * theta) - 1.0)) * cfg.kick_row
-    return SimState(state.t + cfg.dt, v)
+    return v
 
 
 # samples in each least-squares window of the growth-rate fit
@@ -288,25 +277,26 @@ def _fit_growth_rate(times, dists, floor, cap):
 
 def run_experiment(cfg: SimConfig) -> TimeSeries:
     phi = _wave_spectrum(cfg)  # once per run
-    state = init_state(cfg, phi=phi)
+    v = init_state(cfg, phi=phi)
     n_steps = cfg.n_steps
     rows = []  # t, mass, energy, centre modulus, modulated distance
     blow_up = None
 
-    def sample(st):
-        v = st.spectrum
-        rows.append((st.t, discrete_mass(v, cfg), discrete_energy(v, cfg),
+    def sample(t, v):
+        rows.append((t, discrete_mass(v, cfg), discrete_energy(v, cfg),
                      abs(centre_value(v, cfg)), modulated_distance(v, phi, cfg)))
 
-    sample(state)
+    t = 0.0
+    sample(t, v)
     try:
         for k in range(1, n_steps + 1):
-            state = step(state, cfg)
+            v = step(v, cfg)
+            t += cfg.dt
             if k % cfg.sample_every == 0 or k == n_steps:
-                sample(state)
-    except BlowUp as b:
-        blow_up = b.t
-        rows.append((b.t, math.nan, math.nan, math.inf, math.inf))
+                sample(t, v)
+    except BlowUp:  # in the step that would have ended at t + dt
+        blow_up = t + cfg.dt
+        rows.append((blow_up, math.nan, math.nan, math.inf, math.inf))
 
     times, mass, energy, cmod, mdist = np.array(rows).T
     m0, e0, d0 = mass[0], energy[0], mdist[0]

@@ -74,11 +74,20 @@ class PhysParams(_Record, _PhysParamsFields):
         return 0.5 * self.n / self.s
 
 
+# the largest n whose Gamma(n/2) is a float; past it, logs are summed
+MAX_DIRECT_N = 343
+
+
 def sphere_area(n: int) -> float:
-    """Surface area of the unit sphere in R^n: 2 pi^{n/2} / Gamma(n/2)."""
+    """Surface area of the unit sphere in R^n: 2 pi^{n/2} / Gamma(n/2),
+    formed in log space past MAX_DIRECT_N (5.2e-224 at n = 344)."""
     if n < 1:
         raise DomainError(f"dimension must be >= 1, got {n}")
-    return 2.0 * math.pi ** (n / 2.0) / math.exp(ln_gamma(n / 2.0))
+    if n <= MAX_DIRECT_N:
+        return 2.0 * math.pi ** (n / 2.0) / math.exp(ln_gamma(n / 2.0))
+    ln_area = math.log(2.0) + 0.5 * n * math.log(math.pi) - ln_gamma(0.5 * n)
+    return _in_float_range(math.exp(ln_area), "unit sphere area |S^(n-1)|",
+                           f"n = {n}")
 
 
 def moment_closed(j: float, params: PhysParams) -> float:
@@ -91,16 +100,26 @@ def moment_closed(j: float, params: PhysParams) -> float:
     error of about 1e-16/(j - a) that B passes on.  It is the float
     (2sj - n)/(2s) with top and bottom halved, so sj may reach 1.8e308.
     A moment whose factors leave the float range (omega^{a-j}, a Gamma
-    value, or the prefactor past s = 9e307) is a NumericsError.
+    value, or the prefactor past s = 9e307) is a NumericsError.  Past
+    MAX_DIRECT_N, where Gamma(n/2) and then (2 pi)^n overflow, M_j is the
+    exp of the sum of the logs of 1/(s (4 pi)^{n/2} Gamma(n/2)),
+    omega^{a-j} and B, each rounded at its own size (up to about 1e3).
     """
     n, s, om = params.n, params.s, params.omega
     a = params.a
     j_minus_a = (s * j - 0.5 * n) / s
     if not j_minus_a > 0:
         raise DomainError(f"requires j > n/(2s) = {a}, got j = {j}")
-    pref = sphere_area(n) / ((2.0 * math.pi) ** n * 2.0 * s)
-    m = (pref * _inf_on_overflow(pow, om, a - j)
-         * _inf_on_overflow(beta, a, j_minus_a))
+    if n <= MAX_DIRECT_N:
+        pref = sphere_area(n) / ((2.0 * math.pi) ** n * 2.0 * s)
+        m = (pref * _inf_on_overflow(pow, om, a - j)
+             * _inf_on_overflow(beta, a, j_minus_a))
+    else:
+        ln_pref = -(math.log(s) + 0.5 * n * math.log(4.0 * math.pi)
+                    + ln_gamma(0.5 * n))
+        ln_b = ln_gamma(a) + ln_gamma(j_minus_a) - ln_gamma(a + j_minus_a)
+        m = _inf_on_overflow(math.exp,
+                             ln_pref + (a - j) * math.log(om) + ln_b)
     return _in_float_range(m, "moment M_{j:g}", "s = {s}, omega = {om:g}",
                            j=j, s=s, om=om)
 

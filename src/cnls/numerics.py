@@ -1,5 +1,7 @@
-"""Self-contained numerical primitives: half-line quadrature by the exp-sinh
-rule (the package's one half-line integrator), log-Gamma/Beta, root finding
+"""Self-contained numerical primitives: adaptive half-line quadrature by the
+exp-sinh rule for every real integral over (0, inf) (the moment and D(lambda)
+oracles, the mollifier's norm; the Green's function's integral on a complex
+ray has a fixed rule of its own in waves), log-Gamma/Beta, root finding
 by bisection of a sign-changing bracket (the package's one root finder),
 numpy's linspace in plain Python, the `--jobs` process map, and the
 package's three exception classes and one float-range rule.
@@ -10,7 +12,7 @@ outside the model's or the command's range (the CLI exits 2).  A plain
 NumericsError means the computation on valid input failed: a quadrature or
 iteration that does not converge, a root search with no bracket, or a value
 that leaves the float range (the CLI exits 1).  BlowUp is the NumericsError
-of a simulated field that became non-finite; it carries the time t.
+of a simulated field that became non-finite.
 
 All routines are pure functions; nothing here holds mutable state.  The
 module imports without numpy: numpy loads on the first quadrature call, and
@@ -34,9 +36,7 @@ class DomainError(NumericsError):
 
 
 class BlowUp(NumericsError):
-    def __init__(self, t):
-        super().__init__(f"non-finite field at t={t:g}")
-        self.t = t
+    pass
 
 
 def _inf_on_overflow(f, *args) -> float:

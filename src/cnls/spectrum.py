@@ -30,13 +30,6 @@ DEGENERACY_TOL = 1e-12
 ORACLE_ROOT_RTOL = 1e-4
 
 
-class BoundState(NamedTuple):
-    eigenvalue: float
-    mu: float
-    regime: str  # below_c2 | at_c2 | above_c2
-    eigfn_shift: float  # lambda in Psi0_hat = 1/((2pi|xi|)^{2s} + omega +/- lambda)
-
-
 class SpectralReport(NamedTuple):
     params: PhysParams
     c2: float
@@ -59,8 +52,9 @@ def default_grid(params: PhysParams) -> FourierGrid:
                        modes=8192)
 
 
-def bound_state(mu: float, params: PhysParams) -> BoundState:
-    """Lowest eigenvalue of L_mu in closed form.
+def bound_state(mu: float, params: PhysParams) -> float:
+    """Lowest eigenvalue E of L_mu in closed form: negative above
+    mu = c^2, 0 at c^2 and positive below.
 
     mu M_1(omega - E) = 1 with M_1(x) = M_1(omega) (x/omega)^{a-1} gives
     E = omega (1 - (mu/c^2)^{1/(1-a)}) in both regimes.
@@ -69,15 +63,12 @@ def bound_state(mu: float, params: PhysParams) -> BoundState:
         raise DomainError(f"requires mu > 0, got {mu}")
     c2 = sobolev_constant(params)
     if math.isclose(mu, c2, rel_tol=1e-14):
-        return BoundState(eigenvalue=0.0, mu=mu, regime="at_c2", eigfn_shift=0.0)
-    eig = _in_float_range(-params.omega * _inf_on_overflow(
+        return 0.0
+    return _in_float_range(-params.omega * _inf_on_overflow(
         math.expm1, math.log(mu / c2) / (1.0 - params.a)),
         "bound-state eigenvalue of L_mu (L+ at mu = (2 sigma + 1) c^2)",
         "mu/c^2 = {r:g} raised to 1/(1-a) = {p:g}, omega = {om:g}",
         r=mu / c2, p=1.0 / (1.0 - params.a), om=params.omega)
-    return BoundState(eigenvalue=eig, mu=mu,
-                      regime="above_c2" if mu > c2 else "below_c2",
-                      eigfn_shift=abs(eig))
 
 
 def sigma_critical(params: PhysParams) -> float:
@@ -214,7 +205,7 @@ def classify(params: PhysParams, want_unstable_lambda: bool = True) -> SpectralR
                               "mu_+ = (2 sigma + 1) c^2",
                               "sigma = {sig:g}, c^2 = {c2:g}",
                               sig=params.sigma, c2=c2)
-    lplus = bound_state(mu_plus, params).eigenvalue
+    lplus = bound_state(mu_plus, params)
     regime = stability_regime(params)
     lam_star = None
     if regime == "unstable" and want_unstable_lambda:

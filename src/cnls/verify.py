@@ -177,10 +177,10 @@ def check_bound_state_oracle() -> CheckResult:
     """Classical delta-well eigenvalue omega - mu^2/4 = -3 at mu=4, and the
     discretized secular oracle for the lowest L_+ eigenvalue at sigma=1."""
     p = PhysParams(n=1, s=1.0, omega=1.0, sigma=1.0)
-    err_well = abs(bound_state(4.0, p).eigenvalue - (-3.0))
+    err_well = abs(bound_state(4.0, p) - (-3.0))
     mu_plus = (2 * p.sigma + 1) * sobolev_constant(p)
     plus = secular_eigenvalues(mu_plus, p, default_grid(p))
-    semi = bound_state(mu_plus, p).eigenvalue
+    semi = bound_state(mu_plus, p)
     rel = abs(plus - semi) / abs(semi)
     ok = err_well < DELTA_WELL_TOL and rel < LPLUS_RTOL
     return _result("bound-state-oracle", ok,
@@ -247,21 +247,21 @@ def check_dynamics_conservation() -> CheckResult:
     steps and second-order energy drift under dt halving."""
     cfg = SimConfig(n=1, s=1.0, omega=1.0, sigma=0.5, half_length=40.0,
                     modes=1024, dt=1e-3, t_final=10.0)
-    st = init_state(cfg)
-    m0 = discrete_mass(st.spectrum, cfg)
+    v = init_state(cfg)
+    m0 = discrete_mass(v, cfg)
     for _ in range(10_000):
-        st = step(st, cfg)
-    drift = abs(discrete_mass(st.spectrum, cfg) - m0) / m0
+        v = step(v, cfg)
+    drift = abs(discrete_mass(v, cfg) - m0) / m0
 
     def energy_drift(dt):
         c = SimConfig(n=1, s=1.0, omega=1.0, sigma=0.5, half_length=40.0,
                       modes=1024, dt=dt, t_final=2.0, eps=0.3, shape="noise",
                       seed=7)
-        s = init_state(c)
-        e0, mx = discrete_energy(s.spectrum, c), 0.0
+        v = init_state(c)
+        e0, mx = discrete_energy(v, c), 0.0
         for _ in range(int(round(2.0 / dt))):
-            s = step(s, c)
-            mx = max(mx, abs(discrete_energy(s.spectrum, c) - e0) / abs(e0))
+            v = step(v, c)
+            mx = max(mx, abs(discrete_energy(v, c) - e0) / abs(e0))
         return mx
 
     d1, d2 = energy_drift(4e-4), energy_drift(2e-4)

@@ -51,7 +51,6 @@ LOG_HALF_GAMMA = 0.57721566490153286 - math.log(2.0)  # Euler's gamma - ln 2
 
 
 class RadialProfile(NamedTuple):
-    params: PhysParams
     radii: tuple[float, ...]
     values: tuple[float, ...]
     center_value: float
@@ -70,13 +69,17 @@ def sobolev_constant_printed_check(n: int, s: float):
     """(corrected, printed) values of the sharp Sobolev constant at omega=1.
 
     The printed display misses the substitution Jacobian; the corrected
-    value is 2s times it and equals 1/M_1(1).
+    value is 2s times it and equals 1/M_1(1).  Beyond the float range it
+    is a NumericsError, as it is at every n past 343, where Gamma(n/2)
+    overflows: 1/M_1(1) > 1e484 there.
     """
     if not s > n / 2:
         raise DomainError(f"requires s > n/2, got s={s}, n={n}")
-    printed = (2.0 ** (n - 1) * math.pi ** (n / 2.0 - 1.0)
-               * math.exp(ln_gamma(n / 2.0)) * math.sin(n * math.pi / (2 * s)))
-    return 2.0 * s * printed, printed
+    printed = _inf_on_overflow(
+        lambda: 2.0 ** (n - 1) * math.pi ** (n / 2.0 - 1.0)
+        * math.exp(ln_gamma(n / 2.0)) * math.sin(n * math.pi / (2 * s)))
+    return _in_float_range(2.0 * s * printed, "corrected embedding constant",
+                           f"n = {n}, s = {s:g}"), printed
 
 
 def _m1(n: int, s: float, lam: float) -> float:
@@ -140,22 +143,16 @@ def _ray_angle(alpha) -> float:
     return max(theta for theta, d in zip(thetas, dist) if d >= clear)
 
 
-class _RayRule(NamedTuple):
-    angle: float
-    kappa: float
-    nodes: tuple[tuple[complex, complex], ...]  # (k_j, g_j) on the ray
-    poles: tuple[tuple[complex, complex], ...]  # (k_p, c_p), swept poles
-
-
 @functools.lru_cache(maxsize=32)
-def _ray_rule(n: int, s: float, lam: float) -> _RayRule:
-    """The radius-free part of greens_value at (n, s, lam): with m = 0 at
-    n = 1 and 1 otherwise, I(r) = sum_j g_j E(k_j r) + sum_p c_p E(k_p r),
-    g_j = e^{i theta} w_j k_j^m / (k_j^{2s} + lam) over the exp-sinh nodes
-    k_j = kappa y_j e^{i theta} (w_j including kappa), and
-    c_p = 2 pi i (-k_p^{m+1} / (2 s lam)) over the swept poles.  A kept
-    node k_j beyond the float range would make the sum NaN at every radius,
-    so it is a NumericsError here, once per (n, s, lam)."""
+def _ray_rule(n: int, s: float, lam: float):
+    """kappa and the radius-free part of greens_value at (n, s, lam): the
+    terms (k, c) of I(r) = sum c E(k r).  With m = 0 at n = 1 and 1
+    otherwise, they are (k_j, g_j) at the exp-sinh nodes
+    k_j = kappa y_j e^{i theta}, g_j = e^{i theta} w_j k_j^m / (k_j^{2s} +
+    lam) (w_j including kappa), then (k_p, 2 pi i (-k_p^{m+1} / (2 s lam)))
+    at the swept poles.  A kept node k_j beyond the float range would make
+    the sum NaN at every radius, so it is a NumericsError here, once per
+    (n, s, lam)."""
     m = 0 if n == 1 else 1
     kappa = lam ** (1.0 / (2.0 * s))
     alpha = [math.pi * (2.0 * j + 1.0) / (2.0 * s) for j in range(int(s) + 2)]
@@ -193,9 +190,8 @@ def _ray_rule(n: int, s: float, lam: float) -> _RayRule:
                     f"kappa = {kappa:g} at n = {n}, s = {s}, lam = {lam:g}")
 
     poles = [kappa * cmath.exp(1j * a) for a in alpha if a < theta]
-    return _RayRule(
-        theta, kappa, kept,
-        tuple((k, -1j * math.pi * k ** (m + 1) / (s * lam)) for k in poles))
+    return kappa, kept + tuple(
+        (k, -1j * math.pi * k ** (m + 1) / (s * lam)) for k in poles)
 
 
 def greens_value(r: float, lam: float, params: PhysParams) -> float:
@@ -235,10 +231,10 @@ def greens_value(r: float, lam: float, params: PhysParams) -> float:
     if r == 0.0:
         return _m1(n, s, lam)
 
-    rule = _ray_rule(n, s, lam)
-    shifted = n == 3 and rule.kappa * r < 1.0
+    kappa, terms = _ray_rule(n, s, lam)
+    shifted = n == 3 and kappa * r < 1.0
     total = 0j
-    for k, g in rule.nodes + rule.poles:
+    for k, g in terms:
         z = k * r
         if z.imag > DECAY_CUTOFF:
             if shifted:
@@ -276,7 +272,7 @@ def soliton_profile(radii, params: PhysParams) -> RadialProfile:
                            "profile norm M_1^(1 + 1/(2 sigma))", at)
     center = _in_float_range(_inf_on_overflow(pow, m1, -1.0 / (2.0 * sig)),
                              "phi(0) = M_1^(-1/(2 sigma))", at)
-    return RadialProfile(params=params, radii=radii,
+    return RadialProfile(radii=radii,
                          values=tuple(g / norm for g in green),
                          center_value=center)
 

@@ -80,6 +80,20 @@ class TestParsing:
     def test_parser_builds(self):
         build_parser()
 
+    def test_parser_is_built_once_and_parses_carry_nothing_over(self, capsys):
+        assert build_parser() is build_parser()
+        # the second run falls back on sigma = 1 (Q = 0, degenerate), not
+        # on the first run's sigma = 2
+        runs = [run(argv, capsys) for argv in (
+            ["spectrum", "--sigma", "2", "--format", "json"],
+            ["spectrum", "--format", "json"])]
+        first, second = (json.loads(out) for _, out, _ in runs)
+        assert first["params"]["sigma"] == 2.0
+        assert first["classification"] == "unstable"
+        assert second["params"]["sigma"] == 1.0
+        assert second["classification"] == "degenerate"
+        assert second["unstable_lambda"] is None
+
 
 def _options(parser):
     return [opt for action in parser._actions

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import warnings
 
@@ -6,7 +5,7 @@ import numpy as np
 import pytest
 
 import cnls.dynamics
-from cnls.dynamics import (SimConfig, SimState, _hs_norm, _wave_spectrum,
+from cnls.dynamics import (SimConfig, _hs_norm, _wave_spectrum,
                            centre_value, discrete_energy, discrete_mass,
                            init_state, modulated_distance, run_experiment,
                            step)
@@ -57,11 +56,12 @@ class TestDiscreteWave:
         # phi(0) = M_1^{-1/(2 sigma)} = sqrt(2) at the degenerate point,
         # up to the O(1/xi_max) symbol-tail offset of the grid
         cfg = _cfg(DEGEN, modes=4096, dt=1e-4)
-        st = init_state(cfg)
-        assert abs(st.field[cfg.modes // 2]) == pytest.approx(math.sqrt(2.0),
-                                                              rel=5e-3)
-        assert centre_value(st.spectrum, cfg) == pytest.approx(
-            st.field[cfg.modes // 2], rel=1e-12)
+        v = init_state(cfg)
+        u = np.fft.ifft(v)
+        assert abs(u[cfg.modes // 2]) == pytest.approx(math.sqrt(2.0),
+                                                       rel=5e-3)
+        assert centre_value(v, cfg) == pytest.approx(u[cfg.modes // 2],
+                                                     rel=1e-12)
 
     def test_mass_energy_near_continuum(self):
         # continuum values: M = 2 and E + (omega/2) M = 1 at sigma = 1;
@@ -69,7 +69,7 @@ class TestDiscreteWave:
         offsets = []
         for modes, dt in ((1024, 1e-3), (2048, 2.5e-4), (4096, 1e-4)):
             cfg = _cfg(DEGEN, modes=modes, dt=dt)
-            v = init_state(cfg).spectrum
+            v = init_state(cfg)
             mass = discrete_mass(v, cfg)
             comb = discrete_energy(v, cfg) + 0.5 * DEGEN.omega * mass
             offsets.append(abs(mass - 2.0) + abs(comb - 1.0))
@@ -85,9 +85,9 @@ class TestDiscreteWave:
 
     def test_perturbation_scales_distance(self):
         cfg = _cfg(STABLE, eps=0.01, shape="greens-bump")
-        st = init_state(cfg)
+        v = init_state(cfg)
         phi = _wave_spectrum(cfg)
-        assert modulated_distance(st.spectrum, phi, cfg) \
+        assert modulated_distance(v, phi, cfg) \
             <= 0.02 * _hs_norm(phi, cfg)
 
 
@@ -119,24 +119,24 @@ class TestModulatedDistance:
 class TestStep:
     def test_mass_conserved_to_roundoff(self):
         cfg = _cfg(STABLE, dt=1e-3)
-        st = init_state(cfg)
-        m0 = discrete_mass(st.spectrum, cfg)
+        v = init_state(cfg)
+        m0 = discrete_mass(v, cfg)
         for _ in range(2000):
-            st = step(st, cfg)
-        assert abs(discrete_mass(st.spectrum, cfg) - m0) / m0 < 1e-11
+            v = step(v, cfg)
+        assert abs(discrete_mass(v, cfg) - m0) / m0 < 1e-11
         # Parseval: the spectral mass is the grid mass h sum |u|^2
-        assert discrete_mass(st.spectrum, cfg) == pytest.approx(
-            cfg.h * np.sum(np.abs(st.field) ** 2), rel=1e-13)
+        assert discrete_mass(v, cfg) == pytest.approx(
+            cfg.h * np.sum(np.abs(np.fft.ifft(v)) ** 2), rel=1e-13)
 
     def test_one_step_is_phase_rotation(self):
         # u(dt) ~ e^{+i omega dt} phi: fixes the sign convention
         cfg = _cfg(DEGEN, modes=512, dt=1e-4)
         phi = _wave_spectrum(cfg)
-        st = step(init_state(cfg, phi=phi), cfg)
+        u = np.fft.ifft(step(init_state(cfg, phi=phi), cfg))
         ref = np.exp(1j * DEGEN.omega * cfg.dt) * np.fft.ifft(phi)
         wrong = np.exp(-1j * DEGEN.omega * cfg.dt) * np.fft.ifft(phi)
-        err_right = np.max(np.abs(st.field - ref))
-        err_wrong = np.max(np.abs(st.field - wrong))
+        err_right = np.max(np.abs(u - ref))
+        err_wrong = np.max(np.abs(u - wrong))
         assert err_right < 1e-7
         assert err_right < 1e-2 * err_wrong
 
@@ -151,18 +151,18 @@ class TestStep:
         for s, steps in ((1.0, 10), (0.75, 10), (1.0, 2000)):
             cfg = _cfg(PhysParams(n=1, s=s, omega=1.0, sigma=2.0), modes=256,
                        eps=0.1, shape="noise", seed=3)
-            st = init_state(cfg)
-            u = st.field.copy()
+            v = init_state(cfg)
+            u = np.fft.ifft(v)
             half = np.exp(-1j * cfg.symbol * cfg.dt / 2.0)
             j0 = cfg.modes // 2
             for _ in range(steps):
-                st = step(st, cfg)
+                v = step(v, cfg)
                 u = np.fft.ifft(half * np.fft.fft(u))
                 u[j0] *= np.exp(1j * abs(u[j0]) ** 4 * cfg.dt / cfg.h)
                 u = np.fft.ifft(half * np.fft.fft(u))
             bound = 1e-12 if steps == 10 else 1e-10 * np.max(np.abs(u))
-            assert np.max(np.abs(st.field - u)) < bound
-            del cfg, st
+            assert np.max(np.abs(np.fft.ifft(v) - u)) < bound
+            del cfg, v
 
     @pytest.mark.parametrize("kw", [
         # the two configs of the benchmark's `simulate` runs
@@ -176,35 +176,36 @@ class TestStep:
         cfg = SimConfig(half_length=40.0, t_final=1.0, **kw)
         half = np.exp(-1j * cfg.symbol * cfg.dt / 2.0)
         sign = np.where(np.arange(cfg.modes) % 2 == 0, 1.0, -1.0)
-        st = init_state(cfg)
-        v = st.spectrum.copy()
+        fused = init_state(cfg)
+        v = fused.copy()
         for _ in range(2000):
-            st = step(st, cfg)
+            fused = step(fused, cfg)
             v = half * v
             q = np.dot(sign, v) / cfg.modes
             theta = abs(q) ** (2.0 * cfg.sigma) * cfg.dt / cfg.h
             v = half * (v + q * (np.exp(1j * theta) - 1.0) * sign)
-        assert st.t == pytest.approx(2000 * cfg.dt, rel=1e-12)
-        assert np.linalg.norm(st.spectrum - v) <= 1e-12 * np.linalg.norm(v)
+        assert np.linalg.norm(fused - v) <= 1e-12 * np.linalg.norm(v)
+
+    def test_step_returns_a_new_spectrum(self):
+        # step is a function of its argument: v is left as it was
+        cfg = _cfg(STABLE, eps=0.3, shape="noise", seed=7)
+        v = init_state(cfg)
+        before = v.copy()
+        w = step(v, cfg)
+        assert w is not v and not np.shares_memory(w, v)
+        assert np.array_equal(v, before)
+        assert not np.array_equal(w, v)
 
     def test_mass_and_energy_sums(self):
         # the dot-product sums against sum |v|^2 and sum symbol |v|^2
         cfg = _cfg(STABLE, eps=0.3, shape="noise", seed=7)
-        v = init_state(cfg).spectrum
+        v = init_state(cfg)
         scale = cfg.h / cfg.modes
         assert discrete_mass(v, cfg) == pytest.approx(
             scale * np.sum(np.abs(v) ** 2), rel=1e-14)
         pot = abs(centre_value(v, cfg)) ** 3 / 3.0
         assert discrete_energy(v, cfg) + pot == pytest.approx(
             0.5 * scale * np.sum(cfg.symbol * np.abs(v) ** 2), rel=1e-14)
-
-    def test_state_is_time_and_field(self):
-        # the state is the spectrum; the field is derived from it on demand
-        assert [f.name for f in dataclasses.fields(SimState)] == \
-            ["t", "spectrum"]
-        st = SimState(0.0, np.fft.fft(np.arange(8.0) + 0j))
-        assert np.allclose(st.field, np.arange(8.0))
-        assert st.field is st.field
 
 
 class TestRunExperiment:
@@ -262,3 +263,17 @@ class TestRunExperiment:
         assert ts.center_modulus[-1] == math.inf
         assert ts.growth_rate is None
         assert np.isnan(ts.energy_drift).all()
+
+    def test_later_blow_up_time_is_the_summed_steps(self):
+        # 14 steps run, and the kick phase overflows in the 15th: the
+        # blow-up time is the running sum of dt plus one more dt, like the
+        # sample times, and not the product 15 * dt = 0.015
+        cfg = SimConfig(sigma=1000.0, modes=256, half_length=20.0, dt=1e-3,
+                        t_final=0.2, eps=0.1, shape="greens-bump",
+                        sample_every=1)
+        ts = run_experiment(cfg)
+        assert ts.blow_up_time == 0.015000000000000006
+        assert ts.times.size == 16
+        assert ts.times[-1] == ts.blow_up_time
+        assert ts.times[-2] + cfg.dt == ts.blow_up_time
+        assert np.isfinite(ts.center_modulus[:-1]).all()

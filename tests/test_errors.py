@@ -121,6 +121,11 @@ FLOAT_RANGE = [
     # 58 of the ray rule's 290 nodes k overflow: every r > 0 would be NaN
     (["profile", "--n", "1", "--s", "0.5000001", "--omega", "1e300",
       "--r-range", "0:1:3"], "Green's function node k = kappa y e^(i theta)"),
+    # past n = 343 Gamma(n/2), and past n = 386 (2 pi)^n, overflow, and the
+    # log form finds M_1 below the float range: 3.65e-593 at n = 400
+    (["constants", "--n", "344", "--s", "200"], "moment M_1"),
+    (["spectrum", "--n", "400", "--s", "201"], "moment M_1"),
+    (["pohozaev", "--n", "400", "--s", "201"], "moment M_1"),
 ]
 
 EXIT_CODES = [
@@ -171,24 +176,31 @@ def test_float_range_failure_names_the_quantity(capsys, argv, quantity):
 
 
 def _sweep():
-    """cli argv over n in {1, 3}, s from n/2 (1 + 2e-7) to 1000, and omega
-    and sigma at both ends of the float range: valid input throughout."""
+    """cli argv over n in {1, 3}, s from n/2 (1 + 2e-7) to 1000, then past
+    Gamma(n/2)'s overflow, n in {344, 400, 1300} with s up to 1e300, and
+    omega and sigma at both ends of the float range: valid input
+    throughout."""
     ends = ("1e-300", "1", "1e300")
-    for n in (1, 3):
-        for s in (n / 2 * (1 + 2e-7), float(n), 100.0, 1000.0):
-            at = ["--n", str(n), "--s", repr(s)]
-            for om in ends:
-                yield ["constants", *at, "--omega", om]
-                for sig in ends:
-                    p = [*at, "--omega", om, "--sigma", sig]
-                    yield ["spectrum", *p]
-                    yield ["pohozaev", *p]
-                    yield ["pohozaev", "--quadrature", *p]
-                    if s <= 100:  # the ray rule is slow to build at s = 1e3
-                        yield ["profile", *p, "--r-range", "0:2:5"]
-                    yield ["stability-map", "--n", str(n), "--omega", om,
-                           "--s-range", f"{s!r}:{s!r}:1", "--sigma-range",
-                           f"{sig}:{sig}:1", "--with-lambda"]
+    cells = [(n, s) for n in (1, 3)
+             for s in (n / 2 * (1 + 2e-7), float(n), 100.0, 1000.0)]
+    cells += [(n, s) for n in (344, 400, 1300)
+              for s in (n / 2 * (1 + 2e-7), float(n), 1e4, 1e300)]
+    for n, s in cells:
+        at = ["--n", str(n), "--s", repr(s)]
+        for om in ends:
+            yield ["constants", *at, "--omega", om]
+            for sig in ends:
+                p = [*at, "--omega", om, "--sigma", sig]
+                yield ["spectrum", *p]
+                yield ["pohozaev", *p]
+                yield ["pohozaev", "--quadrature", *p]
+                # pointwise values exist for n <= 3, and the ray rule is
+                # slow to build at s = 1e3
+                if n <= 3 and s <= 100:
+                    yield ["profile", *p, "--r-range", "0:2:5"]
+                yield ["stability-map", "--n", str(n), "--omega", om,
+                       "--s-range", f"{s!r}:{s!r}:1", "--sigma-range",
+                       f"{sig}:{sig}:1", "--with-lambda"]
 
 
 def _q_and_label(command, out):

@@ -9,7 +9,7 @@ import numpy as np
 from cnls.moments import (FourierGrid, PhysParams, discrete_moment, grid_sum,
                           moment_closed, moment_printed, moment_quadrature,
                           sphere_area)
-from cnls.numerics import DomainError
+from cnls.numerics import DomainError, NumericsError
 from cnls.verify import MOMENT_RTOL
 
 CLASSICAL = PhysParams(n=1, s=1.0, omega=1.0, sigma=1.0)
@@ -50,6 +50,39 @@ class TestNearTheEmbeddingEdge:
         p = PhysParams(n=n, s=0.5 * n * (1.0 + 1e-7), omega=1.0, sigma=1.0)
         ref = _moment_reference(j, p)
         assert abs(moment_closed(j, p) - ref) <= 8 * 2.0 ** -52 * ref
+
+
+class TestPastTheGammaOverflow:
+    # from n = 344 on, Gamma(n/2) overflows, and M_j is the exp of a sum of
+    # logs, each rounded at its own size: the budget is one ulp per unit
+    # of their summed magnitudes (1839 and 2071 ulps here)
+    @pytest.mark.parametrize("n, s, m1", [(344, 1e4, 2.80e-206),
+                                          (400, 1e5, 4.58e-296)])
+    def test_log_form_within_its_budget(self, n, s, m1):
+        om = 1e-300
+        p = PhysParams(n=n, s=s, omega=om, sigma=1.0)
+        a = p.a
+        logs = (math.log(s), 0.5 * n * math.log(4.0 * math.pi),
+                math.lgamma(0.5 * n), (1.0 - a) * math.log(om),
+                math.lgamma(a), math.lgamma(1.0 - a))
+        budget = 2.0 ** -52 * sum(abs(x) for x in logs)
+        ref = _moment_reference(1.0, p)
+        assert ref == pytest.approx(m1, rel=1e-2)
+        assert abs(moment_closed(1.0, p) - ref) <= budget * ref
+
+    def test_sphere_area_in_log_space(self):
+        with mpmath.workdps(40):
+            ref = float(2 * mpmath.pi ** 172 / mpmath.gamma(172))
+        assert ref == pytest.approx(5.21e-224, rel=1e-3)
+        budget = 2.0 ** -52 * (math.log(2.0) + 172 * math.log(math.pi)
+                               + math.lgamma(172))
+        assert abs(sphere_area(344) - ref) <= budget * ref
+        # the direct form stands up to n = 343
+        assert sphere_area(343) == (2.0 * math.pi ** 171.5
+                                    / math.exp(math.lgamma(171.5)))
+        with pytest.raises(NumericsError, match=r"\|S\^\(n-1\)\| leaves the "
+                                                "float range: n = 1300"):
+            sphere_area(1300)
 
 
 class TestQuadratureOracle:

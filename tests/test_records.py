@@ -9,7 +9,7 @@ import pytest
 
 from cnls.moments import FourierGrid, PhysParams
 from cnls.numerics import DomainError
-from cnls.spectrum import BoundState, SpectralReport, bound_state, classify
+from cnls.spectrum import SpectralReport, classify
 from cnls.waves import (PohozaevReport, RadialProfile, pohozaev_check,
                         soliton_profile)
 
@@ -72,8 +72,7 @@ class TestCheckedRecords:
 
 
 def _records():
-    return [P, FourierGrid(half_length=2.0, modes=8),
-            bound_state(2.0, P), classify(P),
+    return [P, FourierGrid(half_length=2.0, modes=8), classify(P),
             soliton_profile([0.0, 1.0], P), pohozaev_check(P)]
 
 
@@ -88,8 +87,7 @@ def test_fields_cannot_be_assigned(record):
 
 def test_record_types():
     assert [type(r) for r in _records()] == [
-        PhysParams, FourierGrid, BoundState, SpectralReport,
-        RadialProfile, PohozaevReport]
+        PhysParams, FourierGrid, SpectralReport, RadialProfile, PohozaevReport]
 
 
 def test_repr_names_the_fields():

@@ -10,7 +10,7 @@ from cnls import moments, spectrum
 from cnls.moments import (FourierGrid, PhysParams, discrete_moment,
                           moment_closed)
 from cnls.numerics import DomainError, NumericsError, find_root
-from cnls.spectrum import (DEGENERACY_TOL, BoundState, bound_state, classify,
+from cnls.spectrum import (DEGENERACY_TOL, bound_state, classify,
                            coercivity_gap, default_grid,
                            discrete_eigen_determinant, eigen_determinant,
                            oracle_eigen_determinant,
@@ -30,19 +30,23 @@ LAMBDA_STAR = {1.5: 3.354101966249684,
 class TestBoundStates:
     def test_classical_delta_well(self):
         # s=1 well: eigenvalue omega - mu^2/4
-        st_ = bound_state(4.0, CLASSICAL)
-        assert st_.eigenvalue == pytest.approx(-3.0, abs=1e-12)
-        assert st_.regime == "above_c2"
+        assert bound_state(4.0, CLASSICAL) == pytest.approx(-3.0, abs=1e-12)
 
     def test_shallow_well(self):
-        st_ = bound_state(1.0, CLASSICAL)  # mu < c2 = 2
-        assert st_.eigenvalue == pytest.approx(0.75, abs=1e-12)
-        assert st_.regime == "below_c2"
+        # mu < c2 = 2
+        assert bound_state(1.0, CLASSICAL) == pytest.approx(0.75, abs=1e-12)
 
     def test_threshold(self):
-        st_ = bound_state(2.0, CLASSICAL)
-        assert st_.eigenvalue == 0.0
-        assert st_.regime == "at_c2"
+        assert bound_state(2.0, CLASSICAL) == 0.0
+
+    @pytest.mark.parametrize("ratio, sign", [(0.5, 1), (1.0, 0), (2.0, -1)])
+    def test_eigenvalue_is_a_float_signed_by_mu_against_c2(self, ratio, sign):
+        # the eigenvalue alone tells the regime: positive below c^2, zero
+        # at c^2 and negative above
+        p = PhysParams(n=2, s=1.7, omega=1.3, sigma=1.0)
+        e = bound_state(ratio * sobolev_constant(p), p)
+        assert type(e) is float
+        assert (e > 0) - (e < 0) == sign
 
     def test_rejects_nonpositive_mu(self):
         with pytest.raises(DomainError):
@@ -60,8 +64,8 @@ class TestBoundStates:
     def test_s1_closed_form(self, mu):
         # at n=1, s=1 both regimes collapse to eigenvalue omega - mu^2/4
         # (M_1(lam) = 1/(2 sqrt(lam)))
-        b = bound_state(mu, CLASSICAL)
-        assert b.eigenvalue == pytest.approx(1.0 - mu * mu / 4.0, abs=1e-10)
+        assert bound_state(mu, CLASSICAL) == pytest.approx(
+            1.0 - mu * mu / 4.0, abs=1e-10)
 
 
 EPS = 2.0 ** -52
@@ -267,10 +271,7 @@ class TestClosedFormOracles:
         p = PhysParams(n, s, 1.3, 1.0)
         c2 = sobolev_constant(p)
         for ratio in (0.3, 0.9, 1.1, 3.0):
-            b = bound_state(ratio * c2, p)
-            assert b.regime == ("below_c2" if ratio < 1 else "above_c2")
-            assert b.eigfn_shift == abs(b.eigenvalue)
-            assert b.eigenvalue == pytest.approx(
+            assert bound_state(ratio * c2, p) == pytest.approx(
                 _bound_state_by_root(ratio * c2, p), rel=1e-11, abs=1e-13)
 
     def test_unstable_root_is_a_quadrature_zero(self):
