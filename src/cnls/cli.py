@@ -26,10 +26,8 @@ from pathlib import Path
 # numpy inside the functions that build arrays.  Each command imports the
 # layers it runs: spectrum and waves load inside the commands that use
 # them, and the array-only modules (dynamics, variational, verify) inside
-# the commands that run them.  None of the records of moments, spectrum and
-# waves is a dataclass, so only simulate, variational and verify load
-# `dataclasses`.  `json` and `datetime` load only where JSON or a manifest
-# is written.
+# the commands that run them.  `json` and `datetime` load only where JSON
+# or a manifest is written.
 from . import __version__
 from .moments import (PhysParams, moment_closed, moment_printed,
                       moment_quadrature, sobolev_constant)
@@ -253,10 +251,8 @@ def cmd_variational(args) -> int:
 def _sim_keys() -> dict:
     """A simulate config sets SimConfig's fields, each parsed as its
     default's type."""
-    import dataclasses
-
     from .dynamics import SimConfig
-    return {f.name: type(f.default) for f in dataclasses.fields(SimConfig)}
+    return {k: type(v) for k, v in SimConfig._field_defaults.items()}
 
 
 def _parse_sim_config(path: str) -> dict:
@@ -300,19 +296,16 @@ def cmd_simulate(args) -> int:
     seconds = time.perf_counter() - start
     header = ["t", "mass_drift", "energy_drift", "center_modulus",
               "mod_distance"]
-    columns = (series.times, series.mass_drift, series.energy_drift,
-               series.center_modulus, series.mod_distance)
-    rows = [dict(zip(header, values)) for values in zip(*columns)]
+    # the five sampled columns, in the fields' order
+    rows = [dict(zip(header, values)) for values in zip(*series[:5])]
     summary = {
         "max_mass_drift": float(np.nanmax(series.mass_drift)),
         "max_mod_distance": float(np.max(series.mod_distance)),
         # the last row is at t_final, or at the step that blew up
         "steps_per_s": round(series.times[-1] / cfg.dt) / seconds,
     }
-    if series.growth_rate is not None:
-        summary["growth_rate"] = series.growth_rate
-    if series.blow_up_time is not None:
-        summary["blow_up_time"] = series.blow_up_time
+    summary.update((k, v) for k, v in series._asdict().items()
+                   if k in ("growth_rate", "blow_up_time") and v is not None)
     _write(args, "simulate", "series.csv", _csv(rows, header), cfgv, summary)
     return 0
 
@@ -320,22 +313,19 @@ def cmd_simulate(args) -> int:
 def cmd_verify(args) -> int:
     from .verify import run_all
     results = run_all(jobs=args.jobs)
-    lines = []
-    for r in results:
-        lines.append(f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail}")
-    body = "\n".join(lines) + "\n"
+    body = "".join(f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail}\n"
+                   for r in results)
     sys.stdout.write(body)
-    all_ok = all(r.passed for r in results)
+    failing = [r.name for r in results if not r.passed]
     if args.out:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         (out_dir / "verify.txt").write_text(body)
         _write_manifest(out_dir, "verify", vars_of(args), ["verify.txt"],
-                        {"passed": sum(r.passed for r in results),
-                         "failed": sum(not r.passed for r in results),
+                        {"passed": len(results) - len(failing),
+                         "failed": len(failing),
                          "seconds": {r.name: r.seconds for r in results}})
-    if not all_ok:
-        failing = [r.name for r in results if not r.passed]
+    if failing:
         sys.stderr.write(f"invariant failure: {', '.join(failing)}\n")
         return 1
     return 0

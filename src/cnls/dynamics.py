@@ -22,21 +22,17 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 from .moments import FourierGrid, PhysParams, discrete_moment
 from .numerics import (BlowUp, DomainError, _in_float_range,
-                       _inf_on_overflow)
+                       _inf_on_overflow, _Record)
 
 
-@dataclass(frozen=True)
-class SimConfig:
-    """One simulate run, and the schema of a `simulate` config file: each
-    field is one key.  The model parameters n, s, omega, sigma are read
-    through `params`; eps, shape and seed perturb the initial wave."""
+class _SimConfigFields(NamedTuple):
     n: int = 1
     s: float = 1.0
     omega: float = 1.0
@@ -50,7 +46,16 @@ class SimConfig:
     seed: int = 0
     sample_every: int = 100
 
-    def __post_init__(self):
+
+class SimConfig(_Record, _SimConfigFields):
+    """One simulate run, and the schema of a `simulate` config file: each
+    field is one key.  The model parameters n, s, omega, sigma are read
+    through `params`; eps, shape and seed perturb the initial wave.  The
+    cached properties below fill the instance dict, and nothing else can:
+    `_replace` builds a new instance with an empty cache."""
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         params = self.params  # checks n, s, omega and sigma
         if not 0.0 <= self.eps <= 0.5:
             raise DomainError("perturbation amplitude must lie in [0, 0.5]")
@@ -80,11 +85,17 @@ class SimConfig:
             raise DomainError(
                 f"dt*mu_max = {self.dt * mu_max:.2f} >= pi: reduce dt below "
                 f"{math.pi / mu_max:.2e} or coarsen the grid")
+        return self
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"SimConfig is immutable: cannot set {name!r}")
+
+    def __getstate__(self):  # the cache is rebuilt, not pickled
+        return None
 
     @cached_property
     def params(self) -> PhysParams:
-        return PhysParams(n=self.n, s=self.s, omega=self.omega,
-                          sigma=self.sigma)
+        return PhysParams(*self[:4])  # n, s, omega, sigma
 
     @property
     def n_steps(self) -> int:
@@ -95,15 +106,14 @@ class SimConfig:
     def grid(self) -> FourierGrid:
         return FourierGrid(self.half_length, self.modes)
 
-    @property
+    @cached_property
     def h(self) -> float:
         return self.grid.h
 
     @cached_property
     def symbol(self) -> np.ndarray:
         """Fourier symbol |2 pi xi|^{2s} of (-Delta)^s on the grid, built once
-        per config (cached_property writes the instance __dict__, which a
-        frozen dataclass allows) and read-only, since every caller shares it."""
+        per config and read-only, since every caller shares it."""
         return _read_only(self.grid.symbol(self.params.s))
 
     @cached_property
@@ -132,8 +142,7 @@ class SimConfig:
         return _read_only(self.half_phase * self.centre_sign)
 
 
-@dataclass(frozen=True)
-class TimeSeries:
+class TimeSeries(NamedTuple):
     times: np.ndarray
     mass_drift: np.ndarray
     energy_drift: np.ndarray
@@ -144,8 +153,7 @@ class TimeSeries:
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
-    """a, locked against writes: the cached arrays of a SimConfig are
-    shared by every caller."""
+    """a, locked against writes: every caller shares a SimConfig's arrays."""
     a.flags.writeable = False
     return a
 
@@ -309,7 +317,5 @@ def run_experiment(cfg: SimConfig) -> TimeSeries:
     if blow_up is None and d0 > 0:
         rate = _fit_growth_rate(times, mdist, floor=10.0 * d0,
                                 cap=0.05 * _hs_norm(phi, cfg))
-    return TimeSeries(times=times, mass_drift=np.abs(mass - m0) / m0,
-                      energy_drift=energy_drift,
-                      center_modulus=cmod, mod_distance=mdist,
+    return TimeSeries(times, np.abs(mass - m0) / m0, energy_drift, cmod, mdist,
                       growth_rate=rate, blow_up_time=blow_up)

@@ -18,12 +18,7 @@ The sharp embedding constant c^2 = 1/M_1 is defined here as well, so the
 spectral layer needs nothing from the wave profiles.
 
 The closed forms need only `math`: the module imports without numpy, which
-loads on the first grid or quadrature call.  PhysParams and FourierGrid are
-NamedTuples, not dataclasses: `dataclasses` imports `inspect` (and with it
-`ast`, `dis` and `tokenize`), and that import and the building of the
-classes take longer than a closed-form command's work.  Each keeps its
-checks in a `__new__` (numerics._Record), so a record built directly, by
-`_replace` or by unpickling in a `--jobs` worker is always valid.
+loads on the first grid or quadrature call.
 """
 
 from __future__ import annotations
@@ -32,7 +27,8 @@ import math
 from typing import TYPE_CHECKING, NamedTuple
 
 from .numerics import (DomainError, _in_float_range, _inf_on_overflow,
-                       _Record, beta, integrate_halfline, ln_gamma)
+                       _is_normal, _Record, beta, integrate_halfline,
+                       ln_gamma)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -74,17 +70,20 @@ class PhysParams(_Record, _PhysParamsFields):
         return 0.5 * self.n / self.s
 
 
-# the largest n whose Gamma(n/2) is a float; past it, logs are summed
-MAX_DIRECT_N = 343
+def _direct_sphere_area(n: int) -> float:
+    """2 pi^{n/2} / Gamma(n/2); 0 or NaN once Gamma(n/2) overflows."""
+    return (2.0 * _inf_on_overflow(pow, math.pi, n / 2.0)
+            / _inf_on_overflow(math.exp, ln_gamma(n / 2.0)))
 
 
 def sphere_area(n: int) -> float:
-    """Surface area of the unit sphere in R^n: 2 pi^{n/2} / Gamma(n/2),
-    formed in log space past MAX_DIRECT_N (5.2e-224 at n = 344)."""
+    """Surface area of the unit sphere in R^n, formed in log space where the
+    direct quotient is not a normal float (from n = 344 on: 5.2e-224)."""
     if n < 1:
         raise DomainError(f"dimension must be >= 1, got {n}")
-    if n <= MAX_DIRECT_N:
-        return 2.0 * math.pi ** (n / 2.0) / math.exp(ln_gamma(n / 2.0))
+    area = _direct_sphere_area(n)
+    if _is_normal(area):
+        return area
     ln_area = math.log(2.0) + 0.5 * n * math.log(math.pi) - ln_gamma(0.5 * n)
     return _in_float_range(math.exp(ln_area), "unit sphere area |S^(n-1)|",
                            f"n = {n}")
@@ -99,22 +98,23 @@ def moment_closed(j: float, params: PhysParams) -> float:
     the difference j - a would otherwise carry a's rounding, a relative
     error of about 1e-16/(j - a) that B passes on.  It is the float
     (2sj - n)/(2s) with top and bottom halved, so sj may reach 1.8e308.
-    A moment whose factors leave the float range (omega^{a-j}, a Gamma
-    value, or the prefactor past s = 9e307) is a NumericsError.  Past
-    MAX_DIRECT_N, where Gamma(n/2) and then (2 pi)^n overflow, M_j is the
-    exp of the sum of the logs of 1/(s (4 pi)^{n/2} Gamma(n/2)),
-    omega^{a-j} and B, each rounded at its own size (up to about 1e3).
+    The direct product stands where its prefactor and value are normal
+    floats.  Elsewhere (a factor over- or underflows, or the prefactor or
+    M_j is subnormal, as at every n >= 344) M_j is the exp of the summed
+    logs of 1/(s (4 pi)^{n/2} Gamma(n/2)), omega^{a-j} and B, each rounded
+    at its own size (up to about 1e3).  A moment beyond the float range is
+    a NumericsError.
     """
     n, s, om = params.n, params.s, params.omega
     a = params.a
     j_minus_a = (s * j - 0.5 * n) / s
     if not j_minus_a > 0:
         raise DomainError(f"requires j > n/(2s) = {a}, got j = {j}")
-    if n <= MAX_DIRECT_N:
-        pref = sphere_area(n) / ((2.0 * math.pi) ** n * 2.0 * s)
-        m = (pref * _inf_on_overflow(pow, om, a - j)
-             * _inf_on_overflow(beta, a, j_minus_a))
-    else:
+    pref = _direct_sphere_area(n) / (_inf_on_overflow(pow, 2.0 * math.pi, n)
+                                     * 2.0 * s)
+    m = (pref * _inf_on_overflow(pow, om, a - j)
+         * _inf_on_overflow(beta, a, j_minus_a))
+    if not (_is_normal(pref) and _is_normal(m)):
         ln_pref = -(math.log(s) + 0.5 * n * math.log(4.0 * math.pi)
                     + ln_gamma(0.5 * n))
         ln_b = ln_gamma(a) + ln_gamma(j_minus_a) - ln_gamma(a + j_minus_a)

@@ -16,9 +16,7 @@ of a simulated field that became non-finite.
 
 All routines are pure functions; nothing here holds mutable state.  The
 module imports without numpy: numpy loads on the first quadrature call, and
-the process pool only when `--jobs` asks for more than one worker.  The
-package's checked records (in moments) are NamedTuples built on `_Record`,
-not dataclasses, for the same reason.
+the process pool only when `--jobs` asks for more than one worker.
 """
 
 from __future__ import annotations
@@ -48,6 +46,11 @@ def _inf_on_overflow(f, *args) -> float:
         return math.inf
 
 
+def _is_normal(x: float) -> bool:
+    """Whether x is a normal float: 2^-1022 <= |x| < inf (NaN fails)."""
+    return 2.0 ** -1022 <= abs(x) < math.inf
+
+
 def _in_float_range(value: float, quantity: str, detail: str, **fields):
     """value, or a NumericsError naming the quantity if value is inf, NaN
     or 0; quantity and detail are str.format templates over fields."""
@@ -58,12 +61,14 @@ def _in_float_range(value: float, quantity: str, detail: str, **fields):
 
 
 class _Record:
-    """Mixin for a NamedTuple record whose `__new__` checks its fields.
+    """Mixin for a record whose `__new__` checks its fields.
 
-    NamedTuple forbids `__new__` in its own class body, so a checked record
-    subclasses its fields tuple and this mixin.  `_make`, and so `_replace`,
-    build through that `__new__`, and unpickling calls it too: every
-    instance has passed the checks.
+    Every record of the package is a NamedTuple (`dataclasses` costs a
+    closed-form command more to import than its work).  NamedTuple forbids
+    `__new__` in its own class body, so a checked record subclasses its
+    fields tuple and this mixin.  `_make`, and so `_replace`, build through
+    that `__new__`, and unpickling calls it too: every instance has passed
+    the checks.
     """
     __slots__ = ()
 

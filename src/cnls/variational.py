@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .moments import FourierGrid, PhysParams, sobolev_constant
-from .numerics import (DomainError, NumericsError, _map_jobs,
+from .numerics import (DomainError, NumericsError, _map_jobs, _Record,
                        integrate_halfline)
 
 # largest default grid: 2^22 modes, the size of the discretized spectrum
@@ -26,15 +26,19 @@ MAX_SWEEPS = 10_000
 RESIDUAL_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class MollifierSpec:
-    """Scaled bump N V(N x) with V(x) = Z^{-1} exp(-1/(1-x^2)) on |x| < 1."""
-    scale: float  # the N above
+class _MollifierSpecFields(NamedTuple):
+    scale: float
 
-    def __post_init__(self):
-        if not (math.isfinite(self.scale) and self.scale > 0):
+
+class MollifierSpec(_Record, _MollifierSpecFields):
+    """The bump N V(N x), N = scale, V = Z^{-1} exp(-1/(1-x^2)) on |x| < 1."""
+    __slots__ = ()
+
+    def __new__(cls, scale):
+        if not (math.isfinite(scale) and scale > 0):
             raise DomainError(
-                f"mollifier scale must be finite and > 0, got {self.scale}")
+                f"mollifier scale must be finite and > 0, got {scale}")
+        return super().__new__(cls, scale)
 
 
 def _bump(r):
@@ -61,8 +65,7 @@ def mollifier_value(x, spec: MollifierSpec):
     return N * _bump(N * x) / _bump_norm()
 
 
-@dataclass(frozen=True)
-class VariationalResult:
+class VariationalResult(NamedTuple):
     m_N: float
     iterations: int
     residual: float

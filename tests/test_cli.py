@@ -1,5 +1,4 @@
 import argparse
-import dataclasses
 import json
 import math
 import os
@@ -355,8 +354,7 @@ class TestSimulate:
 
     def test_every_simconfig_field_is_a_key(self, tmp_path):
         hints = typing.get_type_hints(SimConfig)
-        assert _sim_keys() == {f.name: hints[f.name]
-                             for f in dataclasses.fields(SimConfig)}
+        assert _sim_keys() == {name: hints[name] for name in SimConfig._fields}
         values = {"n": 1, "s": 1.5, "omega": 2.0, "sigma": 0.5,
                   "half_length": 30.0, "modes": 512, "dt": 1e-4,
                   "t_final": 0.5, "eps": 0.1, "shape": "noise", "seed": 5,
@@ -364,7 +362,7 @@ class TestSimulate:
         path = tmp_path / "all.cfg"
         path.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
         cfg = SimConfig(**_parse_sim_config(str(path)))
-        assert dataclasses.asdict(cfg) == values
+        assert cfg._asdict() == values
         # every value but n (the simulator is 1-D) differs from its default
         default = SimConfig()
         assert [k for k in values if getattr(default, k) == values[k]] == ["n"]
@@ -475,9 +473,11 @@ class TestImports:
 
     # `dataclasses` (with inspect, ast, dis and tokenize) and the layers a
     # command does not run cost more to import than a closed-form command's
-    # work, so each command, run alone, leaves them unloaded; `json` and
-    # `datetime` load only for JSON output or an --out manifest
+    # work, so each command, run alone, leaves them unloaded (no command
+    # loads `dataclasses`); `json` and `datetime` load only for JSON output
+    # or an --out manifest.  {tmp} is the test's temporary directory.
     CSV_ONLY = ("dataclasses", "json", "datetime")
+    ARRAY_ONLY = ("dataclasses", "cnls.spectrum", "cnls.waves")
     CENSUS = [
         (["--help"], CSV_ONLY),
         (["stability-map", "--n", "2", "--s-range", "1.2:2.5:2",
@@ -489,11 +489,18 @@ class TestImports:
         (["pohozaev"], CSV_ONLY),
         (["profile", "--n", "2", "--s", "2", "--r-range", "0:3:4"],
          CSV_ONLY + ("cnls.spectrum",)),
+        (["simulate", "--config", "{tmp}/run.cfg", "--out", "{tmp}/sim"],
+         ARRAY_ONLY + ("cnls.variational", "cnls.verify")),
+        (["variational", "--scales", "4"],
+         ARRAY_ONLY + ("json", "cnls.dynamics", "cnls.verify")),
     ]
 
     @pytest.mark.parametrize("argv,unloaded", CENSUS,
                              ids=[" ".join(a) for a, _ in CENSUS])
-    def test_commands_load_only_the_modules_they_run(self, argv, unloaded):
+    def test_commands_load_only_the_modules_they_run(self, argv, unloaded,
+                                                     tmp_path):
+        (tmp_path / "run.cfg").write_text("modes = 256\nt_final = 0.01\n")
+        argv = [a.format(tmp=tmp_path) for a in argv]
         code = ("import sys\n"
                 "from cnls.cli import main\n"
                 "try:\n"

@@ -67,10 +67,10 @@ class _Raises(ast.NodeVisitor):
 
 
 def test_every_raise_names_one_of_the_three_classes():
-    # besides the package's classes and bare re-raises, only the two raises
-    # a protocol requires: a module's __getattr__ (PEP 562) raises
-    # AttributeError, and an argparse type converter ArgumentTypeError,
-    # which argparse turns into its own exit 2
+    # besides the package's classes and bare re-raises, only the raises a
+    # protocol requires: a module's __getattr__ (PEP 562) and an immutable
+    # record's __setattr__ raise AttributeError, and an argparse type
+    # converter ArgumentTypeError, which argparse turns into its own exit 2
     bad, count = [], 0
     for path in sorted(Path(cnls.__file__).parent.glob("*.py")):
         scan = _Raises()
@@ -79,11 +79,28 @@ def test_every_raise_names_one_of_the_three_classes():
             count += 1
             if name in (None, "DomainError", "NumericsError", "BlowUp",
                         "argparse.ArgumentTypeError") \
-                    or (func, name) == ("__getattr__", "AttributeError"):
+                    or (func, name) in {("__getattr__", "AttributeError"),
+                                        ("__setattr__", "AttributeError")}:
                 continue
             bad.append(f"{path.name}:{func}: raise {name}")
     assert count > 50
     assert not bad
+
+
+def test_no_module_imports_dataclasses():
+    # every record is a NamedTuple (numerics._Record says why)
+    found = []
+    for path in sorted(Path(cnls.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}" for name in names
+                      if name.partition(".")[0] == "dataclasses"]
+    assert not found
 
 
 # valid input whose value leaves the float range, and the quantity that
@@ -100,9 +117,10 @@ FLOAT_RANGE = [
     (["pohozaev", "--sigma", "5e-4"], "K^2 = phi(0)^(4 sigma + 2)"),
     (["profile", "--sigma", "1e-300", "--r-range", "0:1:3"],
      "profile norm M_1^(1 + 1/(2 sigma))"),
-    # 2s overflows, and with it the Beta form's prefactor
-    (["constants", "--s", "1e308"], "moment M_1"),
-    (["spectrum", "--s", "1e308"], "moment M_1"),
+    # M_1 = 1/pi is a float, but s j overflows in j - a for M_2, and
+    # sigma* = 1/a - 1 in Q
+    (["constants", "--s", "1e308"], "moment M_2"),
+    (["spectrum", "--s", "1e308"], "Vakhitov-Kolokolov quantity Q"),
     # the quadrature's scales (2 pi)^{2s} and omega^j, and its value at a
     # subnormal omega
     (["constants", "--s", "1000"], "quadrature moment M_1"),

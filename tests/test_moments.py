@@ -8,7 +8,7 @@ import numpy as np
 
 from cnls.moments import (FourierGrid, PhysParams, discrete_moment, grid_sum,
                           moment_closed, moment_printed, moment_quadrature,
-                          sphere_area)
+                          sobolev_constant, sphere_area)
 from cnls.numerics import DomainError, NumericsError
 from cnls.verify import MOMENT_RTOL
 
@@ -52,23 +52,53 @@ class TestNearTheEmbeddingEdge:
         assert abs(moment_closed(j, p) - ref) <= 8 * 2.0 ** -52 * ref
 
 
+def _check_log_budget(j, params, value):
+    """M_j against 40-digit mpmath (about value) within the log form's
+    budget: its logs are each rounded at their own size, so one ulp per
+    unit of their summed magnitudes."""
+    n, s, om = params[:3]
+    a = params.a
+    logs = (math.log(s), 0.5 * n * math.log(4.0 * math.pi),
+            math.lgamma(0.5 * n), (j - a) * math.log(om),
+            math.lgamma(a), math.lgamma(j - a), math.lgamma(j))
+    budget = 2.0 ** -52 * sum(abs(x) for x in logs)
+    ref = _moment_reference(j, params)
+    assert ref == pytest.approx(value, rel=1e-2)
+    assert abs(moment_closed(j, params) - ref) <= budget * ref
+
+
 class TestPastTheGammaOverflow:
     # from n = 344 on, Gamma(n/2) overflows, and M_j is the exp of a sum of
-    # logs, each rounded at its own size: the budget is one ulp per unit
-    # of their summed magnitudes (1839 and 2071 ulps here)
+    # logs (budgets of 1839 and 2071 ulps here)
     @pytest.mark.parametrize("n, s, m1", [(344, 1e4, 2.80e-206),
                                           (400, 1e5, 4.58e-296)])
     def test_log_form_within_its_budget(self, n, s, m1):
-        om = 1e-300
-        p = PhysParams(n=n, s=s, omega=om, sigma=1.0)
-        a = p.a
-        logs = (math.log(s), 0.5 * n * math.log(4.0 * math.pi),
-                math.lgamma(0.5 * n), (1.0 - a) * math.log(om),
-                math.lgamma(a), math.lgamma(1.0 - a))
-        budget = 2.0 ** -52 * sum(abs(x) for x in logs)
-        ref = _moment_reference(1.0, p)
-        assert ref == pytest.approx(m1, rel=1e-2)
-        assert abs(moment_closed(1.0, p) - ref) <= budget * ref
+        _check_log_budget(1.0, PhysParams(n=n, s=s, omega=1e-300, sigma=1.0),
+                          m1)
+
+    # below n = 344 the log form also stands wherever the direct product's
+    # prefactor or value is not a normal float (budgets of 781 to 2426 ulps)
+    @pytest.mark.parametrize("n, s, om, j, value", [
+        # a subnormal prefactor, which the direct product passed on
+        (230, 150.0, 1e-100, 1.0, 1.03e-291),
+        # refused before: the prefactor underflows, omega^{a - j} overflows
+        (240, 200.0, 1e-250, 1.0, 3.69e-231),
+        (300, 300.0, 1e-250, 1.0, 3.61e-303),
+        (300, 300.0, 1e-250, 2.0, 1.81e-53),
+        (300, 300.0, 1e-250, 3.0, 1.35e197),
+        # 2s (2 pi)^n overflows, and Gamma(a) at a subnormal a = 5e-309
+        (1, 1e308, 1.0, 1.0, 1.0 / math.pi),
+    ])
+    def test_log_form_where_the_direct_product_fails(self, n, s, om, j,
+                                                     value):
+        _check_log_budget(j, PhysParams(n=n, s=s, omega=om, sigma=1.0), value)
+
+    def test_sobolev_constant_past_a_subnormal_prefactor(self):
+        # `spectrum --n 230 --s 150 --omega 1e-100` prints this c^2; the
+        # direct product lost 8 of its 17 digits
+        p = PhysParams(n=230, s=150.0, omega=1e-100, sigma=1.0)
+        ref = 1.0 / _moment_reference(1.0, p)
+        assert abs(sobolev_constant(p) - ref) <= 1e-13 * ref
 
     def test_sphere_area_in_log_space(self):
         with mpmath.workdps(40):

@@ -1,15 +1,21 @@
 """The package's records are immutable NamedTuples; the checked ones
-(PhysParams, FourierGrid) reject bad fields however they are built:
-directly, by `_replace`, or by unpickling in a `--jobs` worker."""
+(PhysParams, FourierGrid, SimConfig, MollifierSpec) reject bad fields
+however they are built: directly, by `_replace`, or by unpickling in a
+`--jobs` worker."""
 
 import math
 import pickle
 
+import numpy as np
 import pytest
 
+from cnls.dynamics import SimConfig, TimeSeries, run_experiment
 from cnls.moments import FourierGrid, PhysParams
 from cnls.numerics import DomainError
 from cnls.spectrum import SpectralReport, classify
+from cnls.variational import (MollifierSpec, VariationalResult,
+                              default_solve_grid, petviashvili_solve)
+from cnls.verify import CheckResult, _run, check_vk_fractions
 from cnls.waves import (PohozaevReport, RadialProfile, pohozaev_check,
                         soliton_profile)
 
@@ -33,6 +39,16 @@ CHECKED = [
      "n must be finite, got inf"),
     (FourierGrid, (1.0, 8), "modes", 7, "modes must be even and >= 2, got 7"),
     (FourierGrid, (1.0, 8), "modes", 0, "modes must be even and >= 2, got 0"),
+    (SimConfig, tuple(SimConfig()), "dt", -1.0,
+     "dt, t_final, half_length must be finite and positive"),
+    (SimConfig, tuple(SimConfig()), "shape", "box",
+     "unknown perturbation shape 'box'"),
+    (SimConfig, tuple(SimConfig()), "s", 0.5,
+     "requires s > n/2, got s=0.5, n=1"),
+    (MollifierSpec, (4.0,), "scale", math.nan,
+     "mollifier scale must be finite and > 0, got nan"),
+    (MollifierSpec, (4.0,), "scale", 0.0,
+     "mollifier scale must be finite and > 0, got 0.0"),
 ]
 IDS = [f"{cls.__name__}-{field}={bad}" for cls, _, field, bad, _ in CHECKED]
 
@@ -72,8 +88,13 @@ class TestCheckedRecords:
 
 
 def _records():
+    cfg = SimConfig(modes=64, t_final=0.002)
+    spec = MollifierSpec(scale=4.0)
     return [P, FourierGrid(half_length=2.0, modes=8), classify(P),
-            soliton_profile([0.0, 1.0], P), pohozaev_check(P)]
+            soliton_profile([0.0, 1.0], P), pohozaev_check(P), cfg,
+            run_experiment(cfg), spec,
+            petviashvili_solve(P, spec, default_solve_grid(P, spec)),
+            _run(check_vk_fractions)]
 
 
 @pytest.mark.parametrize("record", _records(),
@@ -87,7 +108,23 @@ def test_fields_cannot_be_assigned(record):
 
 def test_record_types():
     assert [type(r) for r in _records()] == [
-        PhysParams, FourierGrid, SpectralReport, RadialProfile, PohozaevReport]
+        PhysParams, FourierGrid, SpectralReport, RadialProfile, PohozaevReport,
+        SimConfig, TimeSeries, MollifierSpec, VariationalResult, CheckResult]
+    assert all(isinstance(r, tuple) and hasattr(r, "_fields")
+               for r in _records())
+
+
+def test_simconfig_cache_is_per_instance():
+    # the operator arrays cache in the instance dict: `_replace` and
+    # unpickling start from an empty cache, so no array outlives its fields
+    cfg = SimConfig(modes=64)
+    symbol = cfg.symbol
+    assert cfg.symbol is symbol and not symbol.flags.writeable
+    other = cfg._replace(s=1.5)
+    assert other.symbol is not symbol
+    assert np.array_equal(other.symbol, SimConfig(modes=64, s=1.5).symbol)
+    assert "symbol" not in vars(pickle.loads(pickle.dumps(cfg)))
+    assert SimConfig() == SimConfig(**SimConfig._field_defaults)
 
 
 def test_repr_names_the_fields():
